@@ -26,24 +26,24 @@ matrix of the Lie algebra map inducing pi: source -> target:
     ...
 
 Exit codes: 0 success, 1 semantic validation failure, 2 syntax error,
-3 hypothesis violation in pullback theories.
+3 hypothesis violation in pullback theories, 4 internal invariant violated.
 """
 
 import argparse
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import acx, catalog, cec, morphism, symplectic
 from .forms import KForm
 from .linalg import RationalMatrix
-from .parser import ParseError, parse_form, parse_salamon
+from .parser import ParseError, parse_count, parse_form, parse_rational, parse_salamon
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SYNTAX = 2
 EXIT_HYPOTHESIS = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_MAX_DIM = 16
 
@@ -71,20 +71,13 @@ def _max_dim() -> int:
         raise InputError(f"SYMPCOH_MAX_DIM is not an integer: {raw!r}") from None
 
 
-def _parse_rational_token(tok: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed rational {tok!r}") from None
-
-
 def _parse_j_matrix(text: str, n: int) -> RationalMatrix:
     body = "".join(text.split())
     if not body.startswith("[") or not body.endswith("]"):
         raise ParseError("J must be given as bracketed rows [a,b,...][...]")
     rows = []
     for chunk in body[1:-1].split("]["):
-        rows.append([_parse_rational_token(t) for t in chunk.split(",")])
+        rows.append([parse_rational(t) for t in chunk.split(",")])
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"J must be an {n}x{n} matrix")
     return RationalMatrix(rows)
@@ -135,7 +128,7 @@ def load_input(spec: str) -> InputDocument:
             if "d" not in pairs:
                 raise ParseError(f"{spec}: missing structure equations (key 'd')")
             algebra = parse_salamon(pairs["d"])
-            if "dim" in pairs and int(pairs["dim"]) != algebra.dim:
+            if "dim" in pairs and parse_count(pairs["dim"], "dim") != algebra.dim:
                 raise ParseError(
                     f"{spec}: dim = {pairs['dim']} does not match {algebra.dim} entries"
                 )
@@ -278,13 +271,13 @@ def _load_morphism(path: str, source: cec.LieAlgebra, target: cec.LieAlgebra) ->
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key == "rows":
-                    rows_expected = int(value)
+                    rows_expected = parse_count(value, "rows")
                 elif key == "cols":
-                    cols_expected = int(value)
+                    cols_expected = parse_count(value, "cols")
                 else:
                     raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
                 continue
-            matrix_rows.append([_parse_rational_token(t) for t in line.split()])
+            matrix_rows.append([parse_rational(t) for t in line.split()])
     if rows_expected is None or cols_expected is None:
         raise ParseError(f"{path}: morphism files must declare rows and cols")
     if len(matrix_rows) != rows_expected or any(
@@ -449,6 +442,9 @@ def main(argv=None) -> int:
     except morphism.HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except symplectic.ConsistencyError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -64,15 +64,28 @@ def _split_terms(entry: str):
     return terms
 
 
-def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if not num.isdigit() or not den.isdigit() or int(den) == 0:
-            raise ParseError(f"malformed rational {text!r}")
-        return Fraction(int(num), int(den))
-    if not text.isdigit():
+def _is_decimal(text: str) -> bool:
+    """ASCII digits only: str.isdigit alone also accepts '²' and other scripts."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_count(text: str, what: str) -> int:
+    """A non-negative decimal integer such as a dimension or a row count."""
+    if not _is_decimal(text.strip()):
+        raise ParseError(f"{what} must be an integer")
+    return int(text)
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational of the grammar above, or its negative for matrix entries.
+
+    Inside a form the sign belongs to the term, so a body never starts with '-'.
+    """
+    sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+    num, slash, den = body.partition("/")
+    if not _is_decimal(num) or (slash and (not _is_decimal(den) or int(den) == 0)):
         raise ParseError(f"malformed rational {text!r}")
-    return Fraction(int(text))
+    return Fraction(sign * int(num), int(den) if slash else 1)
 
 
 def _parse_group(text: str, n: int) -> list:
@@ -81,11 +94,11 @@ def _parse_group(text: str, n: int) -> list:
         if not text.endswith("]") or len(text) < 3:
             raise ParseError(f"malformed bracket group {text!r}")
         parts = text[1:-1].split(".")
-        if any(not p.isdigit() for p in parts):
+        if not all(map(_is_decimal, parts)):
             raise ParseError(f"malformed bracket group {text!r}")
         labels = [int(p) for p in parts]
     else:
-        if not text.isdigit():
+        if not _is_decimal(text):
             raise ParseError(f"malformed index group {text!r}")
         if n > 9:
             raise ParseError(
@@ -106,7 +119,7 @@ def _parse_term(sign: int, body: str, n: int) -> tuple[Fraction, list]:
         rat, _, group = body.partition("*")
         if "*" in group:
             raise ParseError(f"malformed term {body!r}")
-        coeff *= _parse_rational(rat)
+        coeff *= parse_rational(rat)
     else:
         group = body
     return coeff, _parse_group(group, n)

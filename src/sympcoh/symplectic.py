@@ -23,6 +23,7 @@ Bott-Chern and de Rham dimensions; it vanishes in every degree exactly when
 the hard Lefschetz maps on invariant cohomology are bijective.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import NamedTuple
@@ -74,8 +75,9 @@ class ConsistencyError(RuntimeError):
 class SymplecticStructure:
     """Validated closed nondegenerate invariant 2-form with derived data.
 
-    Matrices of the operators are cached per degree; all cached values are
-    pure functions of the immutable inputs.
+    Matrices of the operators, their ranks and the subspaces they cut out are
+    cached per degree; all cached values are pure functions of the immutable
+    inputs.
     """
 
     def __init__(self, algebra: cec.LieAlgebra, omega: KForm):
@@ -102,12 +104,13 @@ class SymplecticStructure:
         full_mask = (1 << algebra.dim) - 1
         # normalized volume omega^n / n!
         self._volume_coeff = top.coeffs[full_mask] / factorial(half)
-        self._d_mats: dict = {}
-        self._dlam_mats: dict = {}
-        self._ddlam_mats: dict = {}
-        self._star_mats: dict = {}
-        self._spaces: dict = {}
+        self._cache: dict = {}
         self._omega_powers = {0: KForm.constant(algebra.dim, 1), 1: omega}
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # ---- cached operator matrices -------------------------------------
 
@@ -115,25 +118,27 @@ class SymplecticStructure:
         n = self.algebra.dim
         if k < 0 or k > n:
             return RationalMatrix.zero(len(basis_masks(n, k + 1)), len(basis_masks(n, k)))
-        if k not in self._d_mats:
-            self._d_mats[k] = cec.d_matrix(self.algebra, k)
-        return self._d_mats[k]
+        return self._cached(("d", k), lambda: cec.d_matrix(self.algebra, k))
 
     def dlam_mat(self, k: int) -> RationalMatrix:
         n = self.algebra.dim
         if k < 1 or k > n:
             return RationalMatrix.zero(len(basis_masks(n, k - 1)), len(basis_masks(n, k)))
-        if k not in self._dlam_mats:
-            self._dlam_mats[k] = matrix_of(
-                lambda a: d_lambda(self, a), n, k, n, k - 1
-            )
-        return self._dlam_mats[k]
+        return self._cached(
+            ("dlam", k), lambda: matrix_of(lambda a: d_lambda(self, a), n, k, n, k - 1)
+        )
 
     def ddlam_mat(self, k: int) -> RationalMatrix:
         """Matrix of d o d^Lambda landing back in degree k."""
-        if k not in self._ddlam_mats:
-            self._ddlam_mats[k] = self.d_mat(k - 1) @ self.dlam_mat(k)
-        return self._ddlam_mats[k]
+        return self._cached(("ddlam", k), lambda: self.d_mat(k - 1) @ self.dlam_mat(k))
+
+    def bc_mat(self, k: int) -> RationalMatrix:
+        """[d; d^Lambda] on degree k; its kernel is ker d ^ ker d^Lambda."""
+        return stack_rows(self.d_mat(k), self.dlam_mat(k))
+
+    def sum_mat(self, k: int) -> RationalMatrix:
+        """[d | d^Lambda] into degree k; its image is im d + im d^Lambda."""
+        return concat_cols(self.d_mat(k - 1), self.dlam_mat(k + 1))
 
     def omega_power(self, j: int) -> KForm:
         while j not in self._omega_powers:
@@ -142,9 +147,7 @@ class SymplecticStructure:
         return self._omega_powers[j]
 
     def star_mat(self, k: int) -> RationalMatrix:
-        if k not in self._star_mats:
-            self._star_mats[k] = self._build_star(k)
-        return self._star_mats[k]
+        return self._cached(("star", k), lambda: self._build_star(k))
 
     def _build_star(self, k: int) -> RationalMatrix:
         """Matrix of the symplectic star on degree k.
@@ -180,64 +183,40 @@ class SymplecticStructure:
 
     # ---- cohomology building blocks ------------------------------------
 
-    def _rank_d(self, k: int) -> int:
-        key = ("rank_d", k)
-        cache = self.__dict__.setdefault("_rank_cache", {})
-        if key not in cache:
-            cache[key] = rank(self.d_mat(k))
-        return cache[key]
+    def op_rank(self, op: str, k: int) -> int:
+        """Rank of the matrix ``<op>_mat(k)``, e.g. ``op_rank("bc", 2)``."""
+        return self._cached(("rank", op, k), lambda: rank(getattr(self, f"{op}_mat")(k)))
 
-    def _rank_dlam(self, k: int) -> int:
-        cache = self.__dict__.setdefault("_rank_cache", {})
-        key = ("rank_dlam", k)
-        if key not in cache:
-            cache[key] = rank(self.dlam_mat(k))
-        return cache[key]
+    def verify(self, identity: str, k: int, holds) -> None:
+        """Raise ConsistencyError unless ``holds()``; each (identity, k) is checked once."""
+        if not self._cached((identity, k), holds):
+            raise ConsistencyError(f"{identity} fails in degree {k}")
 
     def betti(self, k: int) -> int:
         n = self.algebra.dim
         if k < 0 or k > n:
             return 0
-        below = self._rank_d(k - 1) if k > 0 else 0
-        return comb(n, k) - self._rank_d(k) - below
-
-    def _space(self, key, build) -> Subspace:
-        if key not in self._spaces:
-            self._spaces[key] = build()
-        return self._spaces[key]
+        return comb(n, k) - self.op_rank("d", k) - self.op_rank("d", k - 1)
 
     def ker_d(self, k: int) -> Subspace:
-        return self._space(("ker_d", k), lambda: kernel(self.d_mat(k)))
+        return self._cached(("ker_d", k), lambda: kernel(self.d_mat(k)))
 
     def im_d(self, k: int) -> Subspace:
         """Image of d from below, inside degree k."""
-
-        def build():
-            n = self.algebra.dim
-            if k <= 0 or k > n:
-                return Subspace.zero(len(basis_masks(n, k)))
-            return column_space(self.d_mat(k - 1))
-
-        return self._space(("im_d", k), build)
+        return self._cached(("im_d", k), lambda: column_space(self.d_mat(k - 1)))
 
     def ker_bc(self, k: int) -> Subspace:
-        return self._space(
-            ("ker_bc", k),
-            lambda: kernel(stack_rows(self.d_mat(k), self.dlam_mat(k))),
-        )
+        return self._cached(("ker_bc", k), lambda: kernel(self.bc_mat(k)))
 
     def im_ddlam(self, k: int) -> Subspace:
-        return self._space(("im_ddlam", k), lambda: column_space(self.ddlam_mat(k)))
+        return self._cached(("im_ddlam", k), lambda: column_space(self.ddlam_mat(k)))
 
     def ker_ddlam(self, k: int) -> Subspace:
-        return self._space(("ker_ddlam", k), lambda: kernel(self.ddlam_mat(k)))
+        return self._cached(("ker_ddlam", k), lambda: kernel(self.ddlam_mat(k)))
 
     def im_sum(self, k: int) -> Subspace:
         """im d + im d^Lambda inside degree k."""
-        return self._space(
-            ("im_sum", k),
-            lambda: column_space(concat_cols(self.d_mat(k - 1), self.dlam_mat(k + 1))),
-        )
+        return self._cached(("im_sum", k), lambda: column_space(self.sum_mat(k)))
 
 
 def make(algebra: cec.LieAlgebra, omega: KForm) -> SymplecticStructure:
@@ -300,8 +279,7 @@ def h_dlambda(s: SymplecticStructure, k: int) -> int:
     n = s.algebra.dim
     if k < 0 or k > n:
         return 0
-    ker_dim = comb(n, k) - s._rank_dlam(k)
-    return ker_dim - s._rank_dlam(k + 1)
+    return comb(n, k) - s.op_rank("dlam", k) - s.op_rank("dlam", k + 1)
 
 
 def h_bottchern(s: SymplecticStructure, k: int) -> int:
@@ -313,11 +291,8 @@ def h_bottchern(s: SymplecticStructure, k: int) -> int:
     n = s.algebra.dim
     if k < 0 or k > n:
         return 0
-    ddlam = s.ddlam_mat(k)
-    if not (s.d_mat(k) @ ddlam).is_zero() or not (s.dlam_mat(k) @ ddlam).is_zero():
-        raise ConsistencyError("im d d^Lambda escapes ker d ^ ker d^Lambda")
-    ker_dim = comb(n, k) - rank(stack_rows(s.d_mat(k), s.dlam_mat(k)))
-    return ker_dim - rank(ddlam)
+    s.verify("im d d^Lambda <= ker_bc", k, lambda: (s.bc_mat(k) @ s.ddlam_mat(k)).is_zero())
+    return comb(n, k) - s.op_rank("bc", k) - s.op_rank("ddlam", k)
 
 
 def h_aeppli(s: SymplecticStructure, k: int) -> int:
@@ -325,12 +300,8 @@ def h_aeppli(s: SymplecticStructure, k: int) -> int:
     n = s.algebra.dim
     if k < 0 or k > n:
         return 0
-    ddlam = s.ddlam_mat(k)
-    denom = concat_cols(s.d_mat(k - 1), s.dlam_mat(k + 1))
-    if not (ddlam @ denom).is_zero():
-        raise ConsistencyError("im d + im d^Lambda escapes ker d d^Lambda")
-    ker_dim = comb(n, k) - rank(ddlam)
-    return ker_dim - rank(denom)
+    s.verify("im_sum <= ker d d^Lambda", k, lambda: (s.ddlam_mat(k) @ s.sum_mat(k)).is_zero())
+    return comb(n, k) - s.op_rank("ddlam", k) - s.op_rank("sum", k)
 
 
 class NaturalMaps(NamedTuple):
@@ -338,13 +309,35 @@ class NaturalMaps(NamedTuple):
     dr_to_a: InducedMap
 
 
+def _anticommutes(s: SymplecticStructure, k: int) -> bool:
+    """d d^Lambda + d^Lambda d = 0 on degree k."""
+    twisted = (s.dlam_mat(k + 1) @ s.d_mat(k)).entries
+    return twisted == tuple(tuple(-x for x in row) for row in s.ddlam_mat(k).entries)
+
+
 def natural_map_ranks(s: SymplecticStructure, k: int) -> NaturalMaps:
-    """Rank data of the identity-induced maps H_BC -> H_dR -> H_A in degree k."""
-    n = s.algebra.dim
-    ident = RationalMatrix.identity(comb(n, k))
-    bc_to_dr = induced_map_rank(ident, s.ker_bc(k), s.im_ddlam(k), s.ker_d(k), s.im_d(k))
-    dr_to_a = induced_map_rank(ident, s.ker_d(k), s.im_d(k), s.ker_ddlam(k), s.im_sum(k))
-    return NaturalMaps(bc_to_dr, dr_to_a)
+    """Rank data of the identity-induced maps H_BC -> H_dR -> H_A in degree k.
+
+    Both ranks are counts over cached operator ranks; the first uses
+    d^Lambda_k d_{k-1} = -(d d^Lambda)_{k-1}.
+    """
+    if not 0 <= k <= s.algebra.dim:
+        return NaturalMaps(InducedMap(0, True, True), InducedMap(0, True, True))
+    # d d = 0 gives im d <= ker d, the anticommutation ker d <= ker d d^Lambda;
+    # h_bottchern and h_aeppli check the two inclusions into ker_bc and
+    # ker d d^Lambda.  ker_bc <= ker d, im d d^Lambda <= im d and
+    # im d <= im d + im d^Lambda hold by construction.
+    s.verify("d d = 0", k, lambda: (s.d_mat(k) @ s.d_mat(k - 1)).is_zero())
+    for j in (k - 1, k):
+        s.verify("d d^Lambda + d^Lambda d = 0", j, lambda j=j: _anticommutes(s, j))
+    h_bc, b, h_a = h_bottchern(s, k), s.betti(k), h_aeppli(s, k)
+    dim = comb(s.algebra.dim, k)
+    bc_to_dr = dim - s.op_rank("bc", k) - s.op_rank("d", k - 1) + s.op_rank("ddlam", k - 1)
+    dr_to_a = dim - s.op_rank("d", k) - s.op_rank("sum", k) + s.op_rank("ddlam", k + 1)
+    return NaturalMaps(
+        InducedMap(bc_to_dr, bc_to_dr == h_bc, bc_to_dr == b),
+        InducedMap(dr_to_a, dr_to_a == b, dr_to_a == h_a),
+    )
 
 
 def lefschetz_power_map(s: SymplecticStructure, j: int) -> InducedMap:
@@ -358,6 +351,7 @@ def lefschetz_power_map(s: SymplecticStructure, j: int) -> InducedMap:
     )
 
 
+@dataclass(frozen=True, repr=False)
 class CohomologyReport:
     """Per-degree table of the invariant cohomology dimensions and verdicts.
 
@@ -366,23 +360,17 @@ class CohomologyReport:
     the Bott-Chern dimensions is asserted before the report is returned.
     """
 
-    __slots__ = (
-        "dim",
-        "b",
-        "h_dlambda",
-        "h_bottchern",
-        "h_aeppli",
-        "delta",
-        "delta_tilde",
-        "lefschetz_ranks",
-        "natural_maps",
-        "hlc",
-        "ddlambda_lemma",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    dim: int
+    b: tuple
+    h_dlambda: tuple
+    h_bottchern: tuple
+    h_aeppli: tuple
+    delta: tuple
+    delta_tilde: tuple
+    lefschetz_ranks: tuple
+    natural_maps: tuple
+    hlc: bool
+    ddlambda_lemma: bool
 
     def __repr__(self):
         return (

@@ -1,4 +1,4 @@
-from sympcoh import cli
+from sympcoh import cli, symplectic
 
 KODAIRA_TSV = """k\tb\th_dLambda\th_BC\th_A\tdeltaTilde
 0\t1\t1\t1\t1\t0
@@ -141,6 +141,35 @@ def test_report_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_report_non_ascii_digit_exit_code(tmp_path, capsys):
+    doc = tmp_path / "superscript.cfg"
+    doc.write_text("name = kodaira\nomega = ²*14+23\n", encoding="utf-8")
+    code, _, err = run(capsys, "report", str(doc))
+    assert code == 2
+    assert "malformed rational" in err
+
+
+def test_report_non_integer_dim_exit_code(tmp_path, capsys):
+    doc = tmp_path / "dim.cfg"
+    doc.write_text("dim = 4.0\nd = (0,0,0,23)\nomega = 12+34\n")
+    code, _, err = run(capsys, "report", str(doc))
+    assert code == 2
+    assert err.strip() == "error: dim must be an integer"
+
+
+def test_report_consistency_error_exit_code(capsys, monkeypatch):
+    def broken(s):
+        raise symplectic.ConsistencyError("d d = 0 fails in degree 2")
+
+    monkeypatch.setattr(symplectic, "report", broken)
+    code, out, err = run(capsys, "report", "kodaira")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "error: internal invariant violated: d d = 0 fails in degree 2"
+    ]
+
+
 def test_max_dim_guard(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMPCOH_MAX_DIM", "4")
     code, _, err = run(capsys, "report", "torus8")
@@ -159,6 +188,18 @@ def test_jdecomp_etabeta5(capsys):
     assert code == 0
     assert "h_J(1,1)+(1,1): 16" in out
     assert "pure: yes" in out and "full: yes" in out
+
+
+def test_jdecomp_j_entries_use_the_form_grammar(tmp_path, capsys):
+    doc = tmp_path / "j.cfg"
+    for bad in ("1.5", "1e-9"):
+        doc.write_text(f"name = kodaira\nJ = [0,-1,0,0][{bad},0,0,0][0,0,0,-1][0,0,1,0]\n")
+        code, _, err = run(capsys, "jdecomp", str(doc), "--p", "1", "--q", "1")
+        assert code == 2, bad
+        assert f"malformed rational {bad!r}" in err
+    doc.write_text("name = kodaira\nJ = [0,-2/2,0,0][1,0,0,0][0,0,0,-1][0,0,1,0]\n")
+    code, _, _ = run(capsys, "jdecomp", str(doc), "--p", "1", "--q", "1")
+    assert code == 0
 
 
 def test_jdecomp_torus8_anti_invariant(capsys):
@@ -251,6 +292,22 @@ def test_pullback_hypothesis_violation_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "pullback" in err
+
+
+def test_pullback_map_entries_and_counts_use_the_form_grammar(tmp_path, capsys):
+    path = tmp_path / "bad.map"
+    for text, message in (
+        ("rows = 2\ncols = 2\n1.0 0\n0 1\n", "malformed rational '1.0'"),
+        ("rows = 2.0\ncols = 2\n1 0\n0 1\n", "rows must be an integer"),
+    ):
+        path.write_text(text)
+        code, _, err = run(
+            capsys,
+            "pullback", "torus4", "torus4",
+            "--map", str(path), "--theory", "deRham", "--degree", "1",
+        )
+        assert code == 2, text
+        assert message in err
 
 
 def test_pullback_tsv(tmp_path, capsys):

@@ -64,6 +64,16 @@ def test_parse_malformed_rational_rejected():
         parse_salamon("(0,0,0,1/0*23)")
 
 
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit() holds for '²', but it is no decimal digit
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_form("²*14+23", 4)
+    with pytest.raises(ParseError):
+        parse_form("[1.²]", 4)
+    with pytest.raises(ParseError):
+        parse_form("1²", 4)
+
+
 def test_parse_rejects_doubled_or_trailing_signs():
     with pytest.raises(ParseError):
         parse_form("+-23", 4)

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from helpers import SYMPLECTIC_NAMES, random_form, sample_symplectic
+from helpers import FOUR_DIM_NAMES, SYMPLECTIC_NAMES, random_form, sample_symplectic
 from sympcoh import catalog, symplectic as sp
 from sympcoh.cec import differential
 from sympcoh.forms import KForm, basis_masks, two_form_matrix
-from sympcoh.linalg import RationalMatrix
+from sympcoh.linalg import RationalMatrix, induced_map_rank
 from sympcoh.parser import parse_form, parse_salamon
 
 F = Fraction
@@ -280,6 +280,61 @@ def test_natural_maps_bijective_on_g1_g34m(structures):
         maps = sp.natural_map_ranks(s, k)
         assert maps.bc_to_dr.injective and maps.bc_to_dr.surjective
         assert maps.dr_to_a.injective and maps.dr_to_a.surjective
+
+
+def identity_route(s, k):
+    """The natural maps as the identity pushed through induced_map_rank."""
+    ident = RationalMatrix.identity(comb(s.algebra.dim, k))
+    return sp.NaturalMaps(
+        induced_map_rank(ident, s.ker_bc(k), s.im_ddlam(k), s.ker_d(k), s.im_d(k)),
+        induced_map_rank(ident, s.ker_d(k), s.im_d(k), s.ker_ddlam(k), s.im_sum(k)),
+    )
+
+
+def test_natural_maps_match_identity_route_on_catalog(structures):
+    for name, s in structures.items():
+        for k in range(s.algebra.dim + 1):
+            assert sp.natural_map_ranks(s, k) == identity_route(s, k), (name, k)
+
+
+SAMPLED_ALGEBRAS = [catalog.get(name).algebra for name in FOUR_DIM_NAMES] + [
+    parse_salamon(d)
+    for d in (
+        "(0,0,0,0,0,12)",
+        "(0,0,0,0,12,13)",
+        "(0,0,0,12,13,23)",
+        "(0,0,0,12,13,14)",
+        "(0,0,12,13,14,15)",
+    )
+]
+
+
+def test_natural_maps_match_identity_route_on_sampled_structures():
+    # 10 algebras x 2 sampled forms = 20 structures
+    rng = random.Random(2016)
+    non_hlc = 0
+    for g in SAMPLED_ALGEBRAS:
+        for _ in range(2):
+            s = sample_symplectic(g, rng)
+            maps = [sp.natural_map_ranks(s, k) for k in range(g.dim + 1)]
+            assert maps == [identity_route(s, k) for k in range(g.dim + 1)]
+            non_hlc += not all(m.bc_to_dr.injective for m in maps)
+    assert non_hlc >= 10
+
+
+def test_natural_maps_reject_sign_flipped_dlambda():
+    # flipping d^Lambda in degree 2 leaves every containment that h_bottchern
+    # and h_aeppli check intact; only the anticommutation sees it
+    entry = catalog.get("g1_g34m")
+    s = sp.make(entry.algebra, entry.default_omega)
+    m = s.dlam_mat(2)
+    s._cache["dlam", 2] = RationalMatrix(
+        [[-x for x in row] for row in m.entries], rows=m.rows, cols=m.cols
+    )
+    sp.h_bottchern(s, 2)
+    sp.h_aeppli(s, 2)
+    with pytest.raises(sp.ConsistencyError, match=r"d\^Lambda d = 0"):
+        sp.natural_map_ranks(s, 2)
 
 
 def test_sampled_structures_reproduce_family_dimensions():
