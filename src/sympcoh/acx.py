@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import cec
-from .forms import KForm, basis_masks, j_action, j_derivation, matrix_of, two_form_matrix
+from .forms import KForm, j_action, j_derivation, matrix_of, two_form_matrix
 from .linalg import (
     DimensionMismatch,
     RationalMatrix,
@@ -121,6 +121,14 @@ def compatibility(omega, acs: AlmostComplexStructure) -> str:
     return NEITHER
 
 
+def _plus_scalar(m: RationalMatrix, c: Fraction) -> RationalMatrix:
+    """m + c * identity, for a square m."""
+    rows = [list(row) for row in m.entries]
+    for i, row in enumerate(rows):
+        row[i] += c
+    return RationalMatrix(rows)
+
+
 def pure_type_subspace(acs: AlmostComplexStructure, p: int, q: int) -> Subspace:
     """Real (p+q)-forms whose complexification is of type (p,q) + (q,p)."""
     n = acs.algebra.dim
@@ -129,28 +137,12 @@ def pure_type_subspace(acs: AlmostComplexStructure, p: int, q: int) -> Subspace:
         raise ValueError("bidegrees must be nonnegative")
     if k > n:
         raise ValueError(f"degree {k} exceeds the ambient dimension {n}")
-    dim_k = len(basis_masks(n, k))
     if k == 2:
         # fast path: eigenspaces of the involutive action on 2-forms
-        m = acs.action_matrix(2)
         shift = Fraction(-1) if p == q else Fraction(1)
-        eig = RationalMatrix(
-            [
-                [m.entries[i][j] + (shift if i == j else 0) for j in range(dim_k)]
-                for i in range(dim_k)
-            ]
-        )
-        return kernel(eig)
+        return kernel(_plus_scalar(acs.action_matrix(2), shift))
     dm = acs.derivation_matrix(k)
-    sq = dm @ dm
-    c = Fraction((p - q) ** 2)
-    shifted = RationalMatrix(
-        [
-            [sq.entries[i][j] + (c if i == j else 0) for j in range(dim_k)]
-            for i in range(dim_k)
-        ]
-    )
-    return kernel(shifted)
+    return kernel(_plus_scalar(dm @ dm, Fraction((p - q) ** 2)))
 
 
 class PureTypeGroup(NamedTuple):

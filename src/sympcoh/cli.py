@@ -30,6 +30,7 @@ Exit codes: 0 success, 1 semantic validation failure, 2 syntax error,
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -388,7 +389,13 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later calls.
+
+    Parsing keeps its state in the namespace it returns, never in the
+    parser, so one parser serves any number of ``main`` calls.
+    """
     top = argparse.ArgumentParser(
         prog="sympcoh",
         description="Exact invariant cohomology of Lie algebra quotients.",

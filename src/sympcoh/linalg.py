@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package runs on ``fractions.Fraction``; no floating point
-appears anywhere.  Ranks are computed by fraction-free (Bareiss) elimination
-on denominator-cleared integer rows, which keeps intermediate entries bounded.
-Kernels and subspace bases come from Gauss-Jordan reduction and are always
-stored in reduced row echelon form with leading entry 1, so equal subspaces
-carry identical bases and every derived output is reproducible byte for byte.
+Matrices and subspace bases hold ``fractions.Fraction`` entries; no floating
+point appears anywhere.  Every rank, kernel and subspace basis comes from one
+elimination routine, ``_rref``.  It clears each row's denominators and keeps
+it as a sparse integer row (a dict from column to entry), eliminates without
+fractions and divides every combined row by the gcd of its entries, so rows
+stay primitive and intermediate entries stay small.  The echelon phase alone
+gives the rank; back-substitution and a final division by each leading entry
+give the reduced row echelon form.  That form is unique, so equal subspaces
+carry identical bases (leading entry 1) whatever vectors spanned them, and
+every derived output is reproducible byte for byte.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 _ZERO = Fraction(0)
@@ -25,7 +29,7 @@ class ContainmentError(ValueError):
 
 
 def _fraction_row(row: Iterable) -> tuple:
-    return tuple(Fraction(x) for x in row)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
 
 
 class RationalMatrix:
@@ -75,12 +79,12 @@ class RationalMatrix:
             orow = out[i]
             for k in range(self.cols):
                 a = srow[k]
-                if a == 0:
+                if not a:
                     continue
                 brow = other.entries[k]
                 for j in range(other.cols):
                     b = brow[j]
-                    if b != 0:
+                    if b:
                         orow[j] += a * b
         return RationalMatrix(out, rows=self.rows, cols=other.cols)
 
@@ -97,7 +101,7 @@ class RationalMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(any(row) for row in self.entries)
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -153,70 +157,82 @@ def concat_cols(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
 def matvec(m: RationalMatrix, v: Sequence) -> tuple:
     if len(v) != m.cols:
         raise DimensionMismatch(f"vector length {len(v)} != {m.cols} columns")
+    support = [(j, b) for j, b in enumerate(v) if b]
     out = []
     for row in m.entries:
         s = _ZERO
-        for a, b in zip(row, v):
-            if a != 0 and b != 0:
+        for j, b in support:
+            a = row[j]
+            if a:
                 s += a * b
         out.append(s)
     return tuple(out)
 
 
-def _integer_rows(entries) -> list:
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _sparse_rows(rows) -> list:
+    """Nonzero rows, denominators cleared, as primitive dicts {column: int}."""
     out = []
-    for row in entries:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
+    for row in rows:
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            mult = lcm(*[x.denominator for x in nz.values()])
+            out.append(_primitive(
+                {j: x.numerator * (mult // x.denominator) for j, x in nz.items()}
+            ))
     return out
 
 
-def _bareiss_rank(rows: list) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _combine(a: int, row: dict, b: int, pivot_row: dict) -> dict:
+    """The primitive multiple of a * row - b * pivot_row."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * x for j, x in row.items()}
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
 
-    All divisions below are exact by the Bareiss identity, so the whole
-    computation stays in (arbitrary precision) integers.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
+
+def _echelon(rows: list) -> dict:
+    """Forward elimination of sparse integer rows: {pivot column: row leading there}."""
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            if ric == 0 and p == prev:
-                continue
-            rowi = rows[i]
-            rowr = rows[r]
-            if ric == 0:
-                for j in range(c, n):
-                    rowi[j] = rowi[j] * p // prev
-            else:
-                for j in range(c, n):
-                    rowi[j] = (rowi[j] * p - ric * rowr[j]) // prev
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+            row = _combine(p[c], row, row[c], p)
+    return pivots
+
+
+def _rref(rows) -> tuple[list, list]:
+    """Pivot columns and rows of the RREF, each row not yet divided by its lead."""
+    pivots = _echelon(_sparse_rows(rows))
+    cols = sorted(pivots)
+    for k in range(len(cols) - 1, 0, -1):
+        c = cols[k]
+        p = pivots[c]
+        for above in cols[:k]:
+            row = pivots[above]
+            b = row.get(c)
+            if b:
+                pivots[above] = _combine(p[c], row, b, p)
+    return cols, [pivots[c] for c in cols]
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over the rationals via Bareiss elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _bareiss_rank(_integer_rows(m.entries))
+    """Rank over the rationals: the number of pivot columns."""
+    return len(_echelon(_sparse_rows(m.entries)))
 
 
 def det(m: RationalMatrix) -> Fraction:
@@ -269,47 +285,27 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * work[n - 1][n - 1]
 
 
-def _rref(rows: list) -> tuple[list, list]:
-    """In-place reduced row echelon form; returns (nonzero rows, pivot cols)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
-
-
 class Subspace:
     """Linear subspace of Q^n, stored by its canonical (RREF) basis.
 
     The basis rows are independent by construction, have leading entry 1 and
     do not depend on the order or scaling of the spanning vectors supplied.
+    ``pivots`` holds the column of each row's leading entry.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence] = ()):
         self.ambient_dim = ambient_dim
-        rows = [list(_fraction_row(v)) for v in basis]
-        for v in rows:
+        for v in basis:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("basis vector has wrong length")
-        reduced, _ = _rref(rows)
-        self.basis = tuple(tuple(v) for v in reduced if any(x != 0 for x in v))
+        pivots, rows = _rref(basis)
+        self.pivots = tuple(pivots)
+        self.basis = tuple(
+            tuple(Fraction(row[j], row[c]) if j in row else _ZERO for j in range(ambient_dim))
+            for c, row in zip(pivots, rows)
+        )
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -332,40 +328,38 @@ class Subspace:
     def contains_vector(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector has wrong length")
-        resid = list(_fraction_row(v))
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x != 0)
+        resid = list(v)
+        for row, lead in zip(self.basis, self.pivots):
             f = resid[lead]
-            if f != 0:
+            if f:
                 for i in range(lead, self.ambient_dim):
-                    resid[i] -= f * row[i]
-        return all(x == 0 for x in resid)
+                    x = row[i]
+                    if x:
+                        resid[i] -= f * x
+        return not any(resid)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(self.contains_vector(v) for v in other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Basis of the intersection, via the kernel of the stacked system."""
+        """Basis of the intersection, via the kernel of the stacked system.
+
+        A kernel vector (x, y) of the matrix with columns a_1..a_p, b_1..b_q
+        gives sum x_i a_i = -sum y_j b_j, a vector of the intersection.
+        """
         self._check_ambient(other)
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
+        if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        system = RationalMatrix(
-            [
-                [self.basis[i][r] for i in range(p)]
-                + [-other.basis[j][r] for j in range(q)]
-                for r in range(self.ambient_dim)
-            ]
-        )
+        system = RationalMatrix(list(zip(*self.basis, *other.basis)))
         vectors = []
         for coeffs in kernel(system).basis:
-            vec = [_ZERO] * self.ambient_dim
-            for i in range(p):
-                c = coeffs[i]
-                if c != 0:
-                    for r in range(self.ambient_dim):
-                        vec[r] += c * self.basis[i][r]
+            vec = [0] * self.ambient_dim
+            for c, row in zip(coeffs, self.basis):
+                if c:
+                    for r, x in enumerate(row):
+                        if x:
+                            vec[r] += c * x
             vectors.append(vec)
         return Subspace(self.ambient_dim, vectors)
 
@@ -393,23 +387,27 @@ class Subspace:
 
 
 def kernel(m: RationalMatrix) -> Subspace:
-    """Canonical basis of the null space; its dimension is cols - rank."""
-    if m.cols == 0:
-        return Subspace.zero(0)
-    if m.rows == 0:
-        return Subspace.full(m.cols)
-    rows, pivots = _rref([list(r) for r in m.entries])
+    """Canonical basis of the null space; its dimension is cols - rank.
+
+    Eliminating with the columns reversed makes the vector read off for each
+    free column a row of the canonical basis: 1 at that column, nothing
+    before it and 0 at every other free column.
+    """
+    n = m.cols
+    pivots, rows = _rref([row[::-1] for row in m.entries])  # column j is n - 1 - j
     pivot_set = set(pivots)
     vectors = []
-    for free in range(m.cols):
+    for free in reversed(range(n)):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * m.cols
-        vec[free] = _ONE
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][free]
+        vec = [0] * n
+        vec[n - 1 - free] = 1
+        for p, row in zip(pivots, rows):
+            x = row.get(free)
+            if x:
+                vec[n - 1 - p] = Fraction(-x, row[p])
         vectors.append(vec)
-    return Subspace(m.cols, vectors)
+    return Subspace(n, vectors)
 
 
 def column_space(m: RationalMatrix) -> Subspace:

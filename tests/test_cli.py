@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 from sympcoh import cli, symplectic
 
 KODAIRA_TSV = """k\tb\th_dLambda\th_BC\th_A\tdeltaTilde
@@ -366,3 +369,40 @@ def test_catalog_list(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert lines[0].startswith("kodaira\tdim=4\tnilpotent=yes")
+
+
+# --- one parser for many calls --------------------------------------------------
+
+REPEATED_CALLS = (
+    ("report", "kodaira", "--format", "tsv"),
+    ("jdecomp", "kodaira", "--p", "1", "--q", "1", "--format", "tsv"),
+    ("report",),  # argparse error: the input is missing
+    ("catalog", "list"),
+    ("jdecomp", "g41", "--p", "one", "--q", "1"),  # argparse error: not an int
+    ("report", "no-such-algebra"),  # neither a catalog name nor a file
+    ("validate", "g41"),
+)
+
+
+def call_main(argv):
+    """(exit code, stdout, stderr) of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_calls_in_one_process_match_fresh_calls():
+    fresh = {}
+    for argv in REPEATED_CALLS:
+        cli.build_parser.cache_clear()
+        fresh[argv] = call_main(argv)
+    assert [fresh[a][0] for a in REPEATED_CALLS] == [0, 0, 2, 0, 2, 2, 0]
+    assert "usage: sympcoh report" in fresh[("report",)][2]
+    cli.build_parser.cache_clear()
+    for argv in REPEATED_CALLS + REPEATED_CALLS[::-1]:
+        assert call_main(argv) == fresh[argv], argv
+    assert cli.build_parser.cache_info().misses == 1
