@@ -24,7 +24,6 @@ from .linalg import (
     DimensionMismatch,
     RationalMatrix,
     Subspace,
-    column_space,
     det,
     kernel,
 )
@@ -165,14 +164,9 @@ def h_j(
     """
     g = acs.algebra
     k = p + q
-    z = kernel(cec.d_matrix(g, k))
-    pure = pure_type_subspace(acs, p, q)
-    zp = z.intersect(pure)
-    if k == 0:
-        boundary = Subspace.zero(zp.ambient_dim)
-    else:
-        boundary = column_space(cec.d_matrix(g, k - 1))
-    zpb = zp.intersect(boundary)
+    pure = pure_type_subspace(acs, p, q)  # rejects bad bidegrees first
+    zp = g.cycles(k).intersect(pure)
+    zpb = zp.intersect(g.boundaries(k))
     dim = zp.dim - zpb.dim
     reps = None
     if with_representatives:
@@ -199,9 +193,7 @@ def pure_full_check(acs: AlmostComplexStructure) -> PureFullResult:
     the degree-2 de Rham space intersect trivially.  Full: together with the
     exact forms they span all closed 2-forms.
     """
-    g = acs.algebra
-    z = kernel(cec.d_matrix(g, 2))
-    b = column_space(cec.d_matrix(g, 1))
+    z, b = acs.algebra.cycles(2), acs.algebra.boundaries(2)
     s_inv = z.intersect(pure_type_subspace(acs, 1, 1))
     s_anti = z.intersect(pure_type_subspace(acs, 2, 0))
     lifted_inv = s_inv.sum(b)

@@ -9,13 +9,19 @@ differential extends to all degrees as an anti-derivation,
 and d o d = 0 is exactly the Jacobi identity.  The cohomology of this finite
 complex is the invariant (left-invariant) de Rham cohomology of any compact
 quotient of the corresponding simply connected group.
+
+Each ``LieAlgebra`` caches its complex, built on first use through
+``d_matrix``: ``g.d(k)``, ``g.rank_d(k)``, ``g.cycles(k)`` (ker d_k) and
+``g.boundaries(k)`` (im d_(k-1)), next to the verdict of ``validate``.  Every
+theory reads d, ker d and im d from there.  The cache lives as long as the
+object; catalog entries are module-level, so theirs last the whole process.
 """
 
 from fractions import Fraction
 from math import comb
 
-from .forms import KForm, matrix_of, merge_sign
-from .linalg import DimensionMismatch, RationalMatrix, Subspace, rank
+from .forms import KForm, basis_masks, matrix_of, merge_sign
+from .linalg import DimensionMismatch, RationalMatrix, Subspace, column_space, kernel, rank
 
 _ZERO = Fraction(0)
 
@@ -28,7 +34,7 @@ class LieAlgebra:
     equations can be diagnosed rather than rejected blindly.
     """
 
-    __slots__ = ("dim", "gen_differentials")
+    __slots__ = ("dim", "gen_differentials", "_cache")
 
     def __init__(self, dim: int, gen_differentials):
         gens = tuple(gen_differentials)
@@ -39,6 +45,7 @@ class LieAlgebra:
                 raise DimensionMismatch("generator differentials must be 2-forms on R^dim")
         self.dim = dim
         self.gen_differentials = gens
+        self._cache: dict = {}
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -54,6 +61,29 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def d(self, k: int) -> RationalMatrix:
+        """d_k : degree k -> degree k+1; the zero map outside degrees 0..n."""
+        n = self.dim
+        if not 0 <= k <= n:
+            return RationalMatrix.zero(len(basis_masks(n, k + 1)), len(basis_masks(n, k)))
+        return self._cached(("d", k), lambda: d_matrix(self, k))
+
+    def rank_d(self, k: int) -> int:
+        return self._cached(("rank_d", k), lambda: rank(self.d(k)))
+
+    def cycles(self, k: int) -> Subspace:
+        """Closed k-forms: ker d_k."""
+        return self._cached(("cycles", k), lambda: kernel(self.d(k)))
+
+    def boundaries(self, k: int) -> Subspace:
+        """Exact k-forms: im d_(k-1), the zero subspace in degree 0."""
+        return self._cached(("boundaries", k), lambda: column_space(self.d(k - 1)))
 
 
 def differential(g: LieAlgebra, a: KForm) -> KForm:
@@ -89,7 +119,12 @@ def validate(g: LieAlgebra) -> int | None:
 
     Returns None when the structure equations define a Lie algebra, else the
     1-based index of the first generator whose differential is not closed.
+    The verdict is computed once per algebra object.
     """
+    return g._cached("jacobi", lambda: _first_unclosed(g))
+
+
+def _first_unclosed(g: LieAlgebra) -> int | None:
     for m, dgen in enumerate(g.gen_differentials, start=1):
         if not differential(g, dgen).is_zero():
             return m
@@ -135,12 +170,7 @@ def betti(g: LieAlgebra) -> BettiTable:
     if bad is not None:
         raise ValueError(f"structure equations violate Jacobi at generator {bad}")
     n = g.dim
-    ranks = [rank(d_matrix(g, k)) for k in range(n + 1)]
-    b = []
-    for k in range(n + 1):
-        below = ranks[k - 1] if k > 0 else 0
-        b.append(comb(n, k) - ranks[k] - below)
-    return BettiTable(b)
+    return BettiTable(comb(n, k) - g.rank_d(k) - g.rank_d(k - 1) for k in range(n + 1))
 
 
 def _bracket_vectors(g: LieAlgebra) -> dict:

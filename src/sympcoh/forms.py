@@ -105,8 +105,9 @@ class KForm:
                 raise ValueError(f"no nonzero forms of degree {degree} on R^{n}")
             top = 1 << n
             for mask, c in coeffs.items():
-                c = Fraction(c)
-                if c == 0:
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
+                if not c:
                     continue
                 if mask < 0 or mask >= top:
                     raise ValueError("multi-index out of range")

@@ -25,7 +25,6 @@ from .forms import KForm, matrix_of, pullback_along
 from .linalg import (
     DimensionMismatch,
     RationalMatrix,
-    Subspace,
     column_space,
     induced_map_rank,
     kernel,
@@ -125,15 +124,6 @@ class InjectivityReport(NamedTuple):
     injective: bool
 
 
-def _de_rham_spaces(g: cec.LieAlgebra, k: int):
-    z = kernel(cec.d_matrix(g, k))
-    if k == 0:
-        b = Subspace.zero(z.ambient_dim)
-    else:
-        b = column_space(cec.d_matrix(g, k - 1))
-    return z, b
-
-
 def _require_structure(structure, algebra, side: str, kind):
     if structure is None:
         raise HypothesisError(f"theory requires a {kind.__name__} on the {side} algebra")
@@ -170,24 +160,25 @@ def induced_report(
         degree = p + q
     if degree is None:
         raise ValueError("degree is required")
+    top = min(f.source.dim, f.target.dim)
+    if not 0 <= degree <= top:
+        raise ValueError(f"degree {degree} out of range 0..{top}")
 
     n_t = f.target.dim
     if theory == "deRham":
-        v1, w1 = _de_rham_spaces(f.target, degree)
-        v2, w2 = _de_rham_spaces(f.source, degree)
+        v1, w1 = f.target.cycles(degree), f.target.boundaries(degree)
+        v2, w2 = f.source.cycles(degree), f.source.boundaries(degree)
     elif theory == "J":
         _require_structure(source_structure, f.source, "source", acx.AlmostComplexStructure)
         _require_structure(target_structure, f.target, "target", acx.AlmostComplexStructure)
         if f.matrix @ source_structure.j != target_structure.j @ f.matrix:
             raise HypothesisError("morphism does not intertwine the almost-complex structures")
-        zt, bt = _de_rham_spaces(f.target, degree)
-        zs, bs = _de_rham_spaces(f.source, degree)
         pt = acx.pure_type_subspace(target_structure, p, q)
         ps = acx.pure_type_subspace(source_structure, p, q)
-        v1 = zt.intersect(pt)
-        w1 = v1.intersect(bt)
-        v2 = zs.intersect(ps)
-        w2 = v2.intersect(bs)
+        v1 = f.target.cycles(degree).intersect(pt)
+        w1 = v1.intersect(f.target.boundaries(degree))
+        v2 = f.source.cycles(degree).intersect(ps)
+        w2 = v2.intersect(f.source.boundaries(degree))
     else:
         _require_structure(source_structure, f.source, "source", symplectic.SymplecticStructure)
         _require_structure(target_structure, f.target, "target", symplectic.SymplecticStructure)

@@ -77,7 +77,7 @@ class SymplecticStructure:
 
     Matrices of the operators, their ranks and the subspaces they cut out are
     cached per degree; all cached values are pure functions of the immutable
-    inputs.
+    inputs.  d and its kernel and image are read from the algebra's complex.
     """
 
     def __init__(self, algebra: cec.LieAlgebra, omega: KForm):
@@ -114,12 +114,6 @@ class SymplecticStructure:
 
     # ---- cached operator matrices -------------------------------------
 
-    def d_mat(self, k: int) -> RationalMatrix:
-        n = self.algebra.dim
-        if k < 0 or k > n:
-            return RationalMatrix.zero(len(basis_masks(n, k + 1)), len(basis_masks(n, k)))
-        return self._cached(("d", k), lambda: cec.d_matrix(self.algebra, k))
-
     def dlam_mat(self, k: int) -> RationalMatrix:
         n = self.algebra.dim
         if k < 1 or k > n:
@@ -130,15 +124,15 @@ class SymplecticStructure:
 
     def ddlam_mat(self, k: int) -> RationalMatrix:
         """Matrix of d o d^Lambda landing back in degree k."""
-        return self._cached(("ddlam", k), lambda: self.d_mat(k - 1) @ self.dlam_mat(k))
+        return self._cached(("ddlam", k), lambda: self.algebra.d(k - 1) @ self.dlam_mat(k))
 
     def bc_mat(self, k: int) -> RationalMatrix:
         """[d; d^Lambda] on degree k; its kernel is ker d ^ ker d^Lambda."""
-        return stack_rows(self.d_mat(k), self.dlam_mat(k))
+        return stack_rows(self.algebra.d(k), self.dlam_mat(k))
 
     def sum_mat(self, k: int) -> RationalMatrix:
         """[d | d^Lambda] into degree k; its image is im d + im d^Lambda."""
-        return concat_cols(self.d_mat(k - 1), self.dlam_mat(k + 1))
+        return concat_cols(self.algebra.d(k - 1), self.dlam_mat(k + 1))
 
     def omega_power(self, j: int) -> KForm:
         while j not in self._omega_powers:
@@ -191,19 +185,6 @@ class SymplecticStructure:
         """Raise ConsistencyError unless ``holds()``; each (identity, k) is checked once."""
         if not self._cached((identity, k), holds):
             raise ConsistencyError(f"{identity} fails in degree {k}")
-
-    def betti(self, k: int) -> int:
-        n = self.algebra.dim
-        if k < 0 or k > n:
-            return 0
-        return comb(n, k) - self.op_rank("d", k) - self.op_rank("d", k - 1)
-
-    def ker_d(self, k: int) -> Subspace:
-        return self._cached(("ker_d", k), lambda: kernel(self.d_mat(k)))
-
-    def im_d(self, k: int) -> Subspace:
-        """Image of d from below, inside degree k."""
-        return self._cached(("im_d", k), lambda: column_space(self.d_mat(k - 1)))
 
     def ker_bc(self, k: int) -> Subspace:
         return self._cached(("ker_bc", k), lambda: kernel(self.bc_mat(k)))
@@ -311,7 +292,7 @@ class NaturalMaps(NamedTuple):
 
 def _anticommutes(s: SymplecticStructure, k: int) -> bool:
     """d d^Lambda + d^Lambda d = 0 on degree k."""
-    twisted = (s.dlam_mat(k + 1) @ s.d_mat(k)).entries
+    twisted = (s.dlam_mat(k + 1) @ s.algebra.d(k)).entries
     return twisted == tuple(tuple(-x for x in row) for row in s.ddlam_mat(k).entries)
 
 
@@ -321,19 +302,21 @@ def natural_map_ranks(s: SymplecticStructure, k: int) -> NaturalMaps:
     Both ranks are counts over cached operator ranks; the first uses
     d^Lambda_k d_{k-1} = -(d d^Lambda)_{k-1}.
     """
-    if not 0 <= k <= s.algebra.dim:
+    g = s.algebra
+    if not 0 <= k <= g.dim:
         return NaturalMaps(InducedMap(0, True, True), InducedMap(0, True, True))
     # d d = 0 gives im d <= ker d, the anticommutation ker d <= ker d d^Lambda;
     # h_bottchern and h_aeppli check the two inclusions into ker_bc and
     # ker d d^Lambda.  ker_bc <= ker d, im d d^Lambda <= im d and
     # im d <= im d + im d^Lambda hold by construction.
-    s.verify("d d = 0", k, lambda: (s.d_mat(k) @ s.d_mat(k - 1)).is_zero())
+    s.verify("d d = 0", k, lambda: (g.d(k) @ g.d(k - 1)).is_zero())
     for j in (k - 1, k):
         s.verify("d d^Lambda + d^Lambda d = 0", j, lambda j=j: _anticommutes(s, j))
-    h_bc, b, h_a = h_bottchern(s, k), s.betti(k), h_aeppli(s, k)
-    dim = comb(s.algebra.dim, k)
-    bc_to_dr = dim - s.op_rank("bc", k) - s.op_rank("d", k - 1) + s.op_rank("ddlam", k - 1)
-    dr_to_a = dim - s.op_rank("d", k) - s.op_rank("sum", k) + s.op_rank("ddlam", k + 1)
+    h_bc, h_a = h_bottchern(s, k), h_aeppli(s, k)
+    dim = comb(g.dim, k)
+    b = dim - g.rank_d(k) - g.rank_d(k - 1)
+    bc_to_dr = dim - s.op_rank("bc", k) - g.rank_d(k - 1) + s.op_rank("ddlam", k - 1)
+    dr_to_a = dim - g.rank_d(k) - s.op_rank("sum", k) + s.op_rank("ddlam", k + 1)
     return NaturalMaps(
         InducedMap(bc_to_dr, bc_to_dr == h_bc, bc_to_dr == b),
         InducedMap(dr_to_a, dr_to_a == b, dr_to_a == h_a),
@@ -342,13 +325,11 @@ def natural_map_ranks(s: SymplecticStructure, k: int) -> NaturalMaps:
 
 def lefschetz_power_map(s: SymplecticStructure, j: int) -> InducedMap:
     """Induced map of wedging with omega^j from degree n-j to degree n+j."""
-    n = s.algebra.dim
-    half = s.half_dim
+    g = s.algebra
+    lo, hi = s.half_dim - j, s.half_dim + j
     power = s.omega_power(j)
-    mat = matrix_of(lambda a: wedge(power, a), n, half - j, n, half + j)
-    return induced_map_rank(
-        mat, s.ker_d(half - j), s.im_d(half - j), s.ker_d(half + j), s.im_d(half + j)
-    )
+    mat = matrix_of(lambda a: wedge(power, a), g.dim, lo, g.dim, hi)
+    return induced_map_rank(mat, g.cycles(lo), g.boundaries(lo), g.cycles(hi), g.boundaries(hi))
 
 
 @dataclass(frozen=True, repr=False)
@@ -382,7 +363,7 @@ class CohomologyReport:
 def report(s: SymplecticStructure) -> CohomologyReport:
     """Full cohomology table with HLC and d d^Lambda-lemma verdicts."""
     n = s.algebra.dim
-    b = tuple(s.betti(k) for k in range(n + 1))
+    b = tuple(cec.betti(s.algebra))
     h_dl = tuple(h_dlambda(s, k) for k in range(n + 1))
     h_bc = tuple(h_bottchern(s, k) for k in range(n + 1))
     h_a = tuple(h_aeppli(s, k) for k in range(n + 1))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_form
-from sympcoh import catalog
+from sympcoh import acx, catalog, cec, morphism
 from sympcoh.cec import (
     LieAlgebra,
     betti,
@@ -14,8 +14,8 @@ from sympcoh.cec import (
     validate,
 )
 from sympcoh.forms import KForm
-from sympcoh.linalg import DimensionMismatch, rank
-from sympcoh.parser import parse_salamon
+from sympcoh.linalg import DimensionMismatch, RationalMatrix, column_space, kernel, rank
+from sympcoh.parser import parse_salamon, render_salamon
 
 F = Fraction
 
@@ -114,6 +114,71 @@ def test_d_squared_vanishes_for_all_catalog_entries():
         for k in range(g.dim):
             prod = d_matrix(g, k + 1) @ d_matrix(g, k)
             assert prod.is_zero(), (name, k)
+
+
+# --- the cached complex -----------------------------------------------------
+
+
+def test_cached_complex_matches_fresh_matrices():
+    for name in catalog.names():
+        g = catalog.get(name).algebra
+        assert g.boundaries(0).dim == 0, name
+        for k in range(g.dim + 1):
+            assert g.cycles(k) == kernel(d_matrix(g, k)), (name, k)
+            if k:
+                assert g.boundaries(k) == column_space(d_matrix(g, k - 1)), (name, k)
+            assert g.rank_d(k) == rank(d_matrix(g, k)), (name, k)
+
+
+def test_complex_is_zero_outside_degrees():
+    for k in (-1, 5, 6):
+        assert KODAIRA.d(k).is_zero()
+    assert (KODAIRA.d(-1).rows, KODAIRA.d(-1).cols) == (1, 0)
+    assert (KODAIRA.d(4).rows, KODAIRA.d(4).cols) == (0, 1)
+    assert KODAIRA.rank_d(-1) == KODAIRA.rank_d(4) == 0
+    assert KODAIRA.cycles(5).dim == 0 and KODAIRA.boundaries(5).dim == 0
+    with pytest.raises(ValueError, match="out of range"):
+        d_matrix(KODAIRA, 5)
+
+
+def test_session_builds_each_d_matrix_once(monkeypatch):
+    seen = []
+    original = cec.d_matrix
+
+    def counting(g, k):
+        seen.append((g, k))
+        return original(g, k)
+
+    monkeypatch.setattr(cec, "d_matrix", counting)
+    # freshly parsed, so no earlier test has warmed their caches
+    eta = parse_salamon(render_salamon(catalog.get("etabeta5").algebra))
+    torus = parse_salamon(render_salamon(catalog.get("torus8").algebra))
+    a = acx.AlmostComplexStructure(eta, catalog.standard_block_j(10))
+    projection = RationalMatrix([[int(i == j) for j in range(10)] for i in range(8)])
+    f = morphism.LieMorphism(eta, torus, projection)
+    betti(eta)
+    acx.h_j(a, 1, 1)
+    acx.h_j(a, 2, 0)
+    acx.pure_full_check(a)
+    morphism.induced_report(f, "deRham", degree=2)
+    # d_0 .. d_10 on etabeta5, d_1 and d_2 on torus8
+    assert len(seen) == len(set(seen)) == 11 + 2
+
+
+def test_warm_cache_leaves_equality_and_hash_alone():
+    text = render_salamon(catalog.get("g41").algebra)
+    warm, cold = parse_salamon(text), parse_salamon(text)
+    betti(warm)
+    warm.cycles(2), warm.boundaries(2)
+    assert warm._cache and not cold._cache
+    assert warm == cold and hash(warm) == hash(cold)
+
+
+def test_validate_verdict_is_computed_once(monkeypatch):
+    g = parse_salamon("(0,0,12,34)")
+    assert validate(g) == 4
+    monkeypatch.setattr(cec, "differential", None)
+    assert validate(g) == 4
 
 
 # --- Betti numbers ----------------------------------------------------------

@@ -335,6 +335,26 @@ def test_pullback_missing_degree(tmp_path, capsys):
     assert "--degree" in err
 
 
+def test_pullback_degree_out_of_range_on_every_theory(tmp_path, capsys):
+    mapfile = write_identity(tmp_path, 4)
+    for degree in (-1, 5):
+        for theory in ("deRham", "dLambda", "BottChern", "Aeppli", "J"):
+            if theory == "J":
+                where = ("--p", str(degree), "--q", "0")
+            else:
+                where = ("--degree", str(degree))
+            code, out, err = run(
+                capsys,
+                "pullback", "kodaira", "kodaira", "--map", mapfile, "--theory", theory, *where,
+            )
+            assert (code, out) == (1, ""), (theory, degree)
+            assert err.startswith("error: ") and err.count("\n") == 1, (theory, degree)
+            assert f"degree {degree} out of range 0..4" in err, (theory, degree)
+    code, _, err = run(capsys, "jdecomp", "kodaira", "--p", "9", "--q", "9")
+    assert code == 1
+    assert err == "error: degree 18 exceeds the ambient dimension 4\n"
+
+
 # --- validate and catalog ---------------------------------------------------------
 
 
