@@ -28,8 +28,6 @@ from .linalg import (
     kernel,
 )
 
-_ZERO = Fraction(0)
-
 COMPATIBLE = "compatible"
 TAMED_ONLY = "tamed_only"
 NEITHER = "neither"
@@ -42,12 +40,14 @@ def validate_acs(algebra: cec.LieAlgebra, j: RationalMatrix) -> None:
         raise ValueError(f"almost-complex structures need even dimension, got {n}")
     if j.rows != n or j.cols != n:
         raise DimensionMismatch(f"J must be {n}x{n}")
-    jj = j @ j
-    for col in range(n):
-        for row in range(n):
-            want = Fraction(-1) if row == col else _ZERO
-            if jj.entries[row][col] != want:
-                raise ValueError(f"J^2 != -identity at column {col + 1}")
+    bad = [
+        col
+        for i, row in enumerate((j @ j).row_maps)
+        for col in row.keys() | {i}
+        if row.get(col, 0) != (-1 if col == i else 0)
+    ]
+    if bad:
+        raise ValueError(f"J^2 != -identity at column {min(bad) + 1}")
 
 
 class AlmostComplexStructure:
@@ -122,10 +122,10 @@ def compatibility(omega, acs: AlmostComplexStructure) -> str:
 
 def _plus_scalar(m: RationalMatrix, c: Fraction) -> RationalMatrix:
     """m + c * identity, for a square m."""
-    rows = [list(row) for row in m.entries]
+    rows = [dict(row) for row in m.row_maps]
     for i, row in enumerate(rows):
-        row[i] += c
-    return RationalMatrix(rows)
+        row[i] = row.get(i, 0) + c
+    return RationalMatrix.from_rows(rows, m.rows, m.cols)
 
 
 def pure_type_subspace(acs: AlmostComplexStructure, p: int, q: int) -> Subspace:

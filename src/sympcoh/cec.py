@@ -174,20 +174,18 @@ def betti(g: LieAlgebra) -> BettiTable:
 
 
 def _bracket_vectors(g: LieAlgebra) -> dict:
-    """[e_i, e_j] for i < j, read off the structure equations.
+    """[e_i, e_j] for i < j as row maps, read off the structure equations.
 
     With de^k = sum a^k_{ij} e^{ij} the dual pairing gives
     [e_i, e_j] = -sum_k a^k_{ij} e_k.
     """
-    n = g.dim
     out: dict = {}
     for k, dgen in enumerate(g.gen_differentials):
         for mask, c in dgen.coeffs.items():
             low = mask & -mask
             i = low.bit_length() - 1
             j = (mask ^ low).bit_length() - 1
-            vec = out.setdefault((i, j), [_ZERO] * n)
-            vec[k] -= c
+            out.setdefault((i, j), {})[k] = -c
     return out
 
 
@@ -196,24 +194,20 @@ def is_nilpotent(g: LieAlgebra) -> bool:
     n = g.dim
     brackets = _bracket_vectors(g)
 
-    def ad(i: int, vec) -> list:
-        out = [_ZERO] * n
-        for j, vj in enumerate(vec):
-            if vj == 0 or j == i:
-                continue
-            key = (i, j) if i < j else (j, i)
-            bv = brackets.get(key)
+    def ad(i: int, vec: dict) -> dict:
+        out: dict = {}
+        for j, vj in vec.items():
+            bv = brackets.get((i, j) if i < j else (j, i))
             if bv is None:
                 continue
-            sgn = 1 if i < j else -1
-            for k in range(n):
-                if bv[k] != 0:
-                    out[k] += sgn * vj * bv[k]
+            c = vj if i < j else -vj
+            for k, x in bv.items():
+                out[k] = out.get(k, 0) + c * x
         return out
 
     current = Subspace.full(n)
     while current.dim:
-        nxt = Subspace(n, [ad(i, v) for i in range(n) for v in current.basis])
+        nxt = Subspace(n, [ad(i, v) for i in range(n) for v in current.row_maps])
         if nxt.dim == current.dim:
             return False
         current = nxt

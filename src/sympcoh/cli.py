@@ -353,9 +353,14 @@ def cmd_validate(args) -> int:
         ok = False
         lines.append(f"algebra: Jacobi identity fails at generator {bad}")
     acs = None
-    if bad is None and doc.omega is not None:
+    omega = doc.omega if bad is None else None
+    if omega is not None and omega.degree != 2:
+        ok = False
+        lines.append(f"omega: not a 2-form (degree {omega.degree})")
+        omega = None
+    elif omega is not None:
         try:
-            symplectic.make(doc.algebra, doc.omega)
+            symplectic.make(doc.algebra, omega)
             lines.append("omega: ok (closed, nondegenerate)")
         except symplectic.NotClosedError as exc:
             ok = False
@@ -372,8 +377,8 @@ def cmd_validate(args) -> int:
         except ValueError as exc:
             ok = False
             lines.append(f"J: {exc}")
-    if acs is not None and doc.omega is not None:
-        lines.append(f"compatibility: {acx.compatibility(doc.omega, acs)}")
+    if acs is not None and omega is not None:
+        lines.append(f"compatibility: {acx.compatibility(omega, acs)}")
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_INVALID

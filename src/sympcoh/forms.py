@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .linalg import DimensionMismatch, RationalMatrix
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 MAX_GENERATORS = 63  # bitmask encoding bound; far above any catalog entry
 
@@ -282,12 +283,9 @@ def poisson_bivector(omega: KForm) -> Bivector:
     Raises ValueError when the coefficient matrix is singular.
     """
     inv = two_form_matrix(omega).inverse()
-    coeffs = {}
-    for i in range(1, omega.n + 1):
-        for j in range(i + 1, omega.n + 1):
-            c = inv.entries[i - 1][j - 1]
-            if c != 0:
-                coeffs[(i, j)] = c
+    coeffs = {
+        (i + 1, j + 1): c for i, row in enumerate(inv.row_maps) for j, c in row.items() if j > i
+    }
     return Bivector(omega.n, coeffs)
 
 
@@ -332,13 +330,10 @@ def pullback_along(m: RationalMatrix, a: KForm) -> KForm:
         while rem and partial:
             low = rem & -rem
             rem ^= low
-            row = m.entries[low.bit_length() - 1]
+            row = m.row_maps[low.bit_length() - 1]
             nxt: dict = {}
             for pm, pc in partial.items():
-                for col in range(src):
-                    v = row[col]
-                    if v == 0:
-                        continue
+                for col, v in row.items():
                     s = merge_sign(pm, 1 << col)
                     if s == 0:
                         continue
@@ -372,13 +367,10 @@ def j_derivation(j: RationalMatrix, a: KForm) -> KForm:
             low = rem & -rem
             rem ^= low
             rest = mask ^ low
-            row = j.entries[low.bit_length() - 1]
+            row = j.row_maps[low.bit_length() - 1]
             prefix = rest & (low - 1)
             suffix = rest ^ prefix
-            for col in range(a.n):
-                v = row[col]
-                if v == 0:
-                    continue
+            for col, v in row.items():
                 b = 1 << col
                 s1 = merge_sign(prefix, b)
                 if s1 == 0:
@@ -407,11 +399,11 @@ def matrix_of(
     cols = basis_masks(n_in, k_in)
     rows = basis_masks(n_out, k_out)
     row_index = {m: i for i, m in enumerate(rows)}
-    entries = [[_ZERO] * len(cols) for _ in rows]
+    row_maps = [{} for _ in rows]
     for jcol, mask in enumerate(cols):
-        image = op(KForm(n_in, k_in, {mask: Fraction(1)}))
+        image = op(KForm(n_in, k_in, {mask: _ONE}))
         if image.coeffs and (image.degree != k_out or image.n != n_out):
             raise DimensionMismatch("operator image has unexpected grading")
         for m, c in image.coeffs.items():
-            entries[row_index[m]][jcol] = c
-    return RationalMatrix(entries, rows=len(rows), cols=len(cols))
+            row_maps[row_index[m]][jcol] = c
+    return RationalMatrix.from_rows(row_maps, len(rows), len(cols))

@@ -1,20 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Matrices and subspace bases hold ``fractions.Fraction`` entries; no floating
-point appears anywhere.  Every rank, kernel and subspace basis comes from one
-elimination routine, ``_rref``.  It clears each row's denominators and keeps
-it as a sparse integer row (a dict from column to entry), eliminates without
+Matrices and subspaces store sparse rows: a row map is a dict from column to
+a nonzero ``fractions.Fraction``.  No constructor ever stores a zero, so
+equal matrices and equal subspaces have equal row maps whatever they were
+built from.  Row maps may be shared between objects and are never modified
+in place.  The dense tables ``RationalMatrix.entries`` and ``Subspace.basis``
+are read-only views built on first use, for callers that want a full table:
+small n x n matrices, printed representatives and tests.  No floating point
+appears anywhere.
+
+Every rank, kernel, subspace basis and inverse comes from one elimination
+routine, ``_rref``.  It clears each row's denominators and keeps it as a
+sparse integer row (a dict from column to entry), eliminates without
 fractions and divides every combined row by the gcd of its entries, so rows
 stay primitive and intermediate entries stay small.  The echelon phase alone
 gives the rank; back-substitution and a final division by each leading entry
 give the reduced row echelon form.  That form is unique, so equal subspaces
-carry identical bases (leading entry 1) whatever vectors spanned them, and
+carry identical rows (leading entry 1) whatever vectors spanned them, and
 every derived output is reproducible byte for byte.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,65 +36,107 @@ class ContainmentError(ValueError):
     """A required subspace inclusion fails to hold."""
 
 
-def _fraction_row(row: Iterable) -> tuple:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+def _row_map(row, width: int) -> dict:
+    """A dense row, or a row map, of the given width as a dict; zeros may remain."""
+    if isinstance(row, dict):
+        if row and (min(row) < 0 or max(row) >= width):
+            raise DimensionMismatch(f"row map has a column outside 0..{width - 1}")
+        return row
+    if len(row) != width:
+        raise DimensionMismatch(f"row of length {len(row)} where {width} was expected")
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _fraction_map(row, width: int) -> dict:
+    """The nonzero entries of a row (see ``_row_map``) as Fractions."""
+    return {
+        j: f for j, x in _row_map(row, width).items()
+        if (f := x if isinstance(x, Fraction) else Fraction(x))
+    }
+
+
+def _lincomb(coeffs: dict, row_maps: Sequence[dict]) -> dict:
+    """The row map of the sum of c * row_maps[i] over the items (i, c) of coeffs."""
+    out = {}
+    for i, c in coeffs.items():
+        for j, x in row_maps[i].items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals with a fixed shape.
+    """Sparse matrix of exact rationals with a fixed shape.
 
-    Zero-row and zero-column matrices are legal; they show up naturally as
-    operators into or out of trivial graded pieces.
+    ``row_maps`` holds one row map per row.  Zero-row and zero-column
+    matrices are legal; they show up naturally as operators into or out of
+    trivial graded pieces.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "row_maps", "_entries")
 
     def __init__(self, entries, rows: int | None = None, cols: int | None = None):
-        ents = tuple(_fraction_row(r) for r in entries)
+        """From dense rows; ``rows`` and ``cols`` are checked when given."""
+        ents = list(entries)
         if rows is None:
             rows = len(ents)
         if cols is None:
             cols = len(ents[0]) if ents else 0
-        if len(ents) != rows or any(len(r) != cols for r in ents):
+        if len(ents) != rows:
             raise DimensionMismatch("ragged or mis-sized matrix data")
         self.rows = rows
         self.cols = cols
-        self.entries = ents
+        self.row_maps = tuple(_fraction_map(r, cols) for r in ents)
+        self._entries = None
+
+    @classmethod
+    def from_rows(cls, row_maps, rows: int, cols: int) -> "RationalMatrix":
+        """From one row map per row; zero values are dropped."""
+        if len(row_maps) != rows:
+            raise DimensionMismatch(f"{len(row_maps)} row maps for {rows} rows")
+        return cls._of([_fraction_map(r, cols) for r in row_maps], rows, cols)
+
+    @classmethod
+    def _of(cls, row_maps, rows: int, cols: int) -> "RationalMatrix":
+        """From row maps already holding only nonzero Fractions, unchecked."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.row_maps = tuple(row_maps)
+        m._entries = None
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of([{i: _ONE} for i in range(n)], n, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], rows=rows, cols=cols)
+        return cls._of([{}] * rows, rows, cols)
+
+    @property
+    def entries(self) -> tuple:
+        """Dense view, built on first use: a tuple of rows of ``cols`` Fractions."""
+        if self._entries is None:
+            self._entries = tuple(
+                tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.row_maps
+            )
+        return self._entries
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            rows=self.cols,
-            cols=self.rows,
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.row_maps):
+            for j, x in row.items():
+                out[j][i] = x
+        return RationalMatrix._of(out, self.cols, self.rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            srow = self.entries[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if not a:
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] += a * b
-        return RationalMatrix(out, rows=self.rows, cols=other.cols)
+        return RationalMatrix._of(
+            [_lincomb(row, other.row_maps) for row in self.row_maps], self.rows, other.cols
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -94,41 +144,31 @@ class RationalMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.row_maps == other.row_maps
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.row_maps)))
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not any(self.row_maps)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        return tuple(row.get(j, _ZERO) for row in self.row_maps)
 
     def inverse(self) -> "RationalMatrix":
+        """Row-reduce [A | I]: A is invertible when the pivots are 0..n-1."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        work = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if work[i][c] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            work[r], work[piv] = work[piv], work[r]
-            inv = 1 / work[r][c]
-            work[r] = [x * inv for x in work[r]]
-            for i in range(n):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            r += 1
-        return RationalMatrix([row[n:] for row in work])
+        pivots, rows = _rref([{**row, n + i: 1} for i, row in enumerate(self.row_maps)])
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return RationalMatrix._of(
+            [{j - n: Fraction(x, row[c]) for j, x in row.items() if j >= n}
+             for c, row in zip(pivots, rows)],
+            n, n,
+        )
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -137,36 +177,27 @@ class RationalMatrix:
 def stack_rows(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     if top.cols != bottom.cols:
         raise DimensionMismatch("row stacking requires equal column counts")
-    return RationalMatrix(
-        list(top.entries) + list(bottom.entries),
-        rows=top.rows + bottom.rows,
-        cols=top.cols,
+    return RationalMatrix._of(
+        top.row_maps + bottom.row_maps, top.rows + bottom.rows, top.cols
     )
 
 
 def concat_cols(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     if left.rows != right.rows:
         raise DimensionMismatch("column concatenation requires equal row counts")
-    return RationalMatrix(
-        [list(a) + list(b) for a, b in zip(left.entries, right.entries)],
-        rows=left.rows,
-        cols=left.cols + right.cols,
+    shift = left.cols
+    return RationalMatrix._of(
+        [{**a, **{j + shift: x for j, x in b.items()}}
+         for a, b in zip(left.row_maps, right.row_maps)],
+        left.rows,
+        left.cols + right.cols,
     )
 
 
 def matvec(m: RationalMatrix, v: Sequence) -> tuple:
-    if len(v) != m.cols:
-        raise DimensionMismatch(f"vector length {len(v)} != {m.cols} columns")
-    support = [(j, b) for j, b in enumerate(v) if b]
-    out = []
-    for row in m.entries:
-        s = _ZERO
-        for j, b in support:
-            a = row[j]
-            if a:
-                s += a * b
-        out.append(s)
-    return tuple(out)
+    """m v for a dense v, as a dense tuple; m is walked by its columns."""
+    image = _lincomb(_row_map(v, m.cols), m.transpose().row_maps)
+    return tuple(image.get(i, _ZERO) for i in range(m.rows))
 
 
 def _primitive(row: dict) -> dict:
@@ -174,16 +205,17 @@ def _primitive(row: dict) -> dict:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _sparse_rows(rows) -> list:
-    """Nonzero rows, denominators cleared, as primitive dicts {column: int}."""
+def _sparse_rows(row_maps) -> list:
+    """Nonzero rows, denominators cleared, as primitive dicts {column: int}.
+
+    Values may be ints or Fractions; zero values are dropped.
+    """
     out = []
-    for row in rows:
-        nz = {j: x for j, x in enumerate(row) if x}
-        if nz:
-            mult = lcm(*[x.denominator for x in nz.values()])
-            out.append(_primitive(
-                {j: x.numerator * (mult // x.denominator) for j, x in nz.items()}
-            ))
+    for row in row_maps:
+        mult = lcm(*[x.denominator for x in row.values()])
+        ints = {j: y for j, x in row.items() if (y := x.numerator * (mult // x.denominator))}
+        if ints:
+            out.append(_primitive(ints))
     return out
 
 
@@ -215,9 +247,9 @@ def _echelon(rows: list) -> dict:
     return pivots
 
 
-def _rref(rows) -> tuple[list, list]:
+def _rref(row_maps) -> tuple[list, list]:
     """Pivot columns and rows of the RREF, each row not yet divided by its lead."""
-    pivots = _echelon(_sparse_rows(rows))
+    pivots = _echelon(_sparse_rows(row_maps))
     cols = sorted(pivots)
     for k in range(len(cols) - 1, 0, -1):
         c = cols[k]
@@ -232,7 +264,7 @@ def _rref(rows) -> tuple[list, list]:
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals: the number of pivot columns."""
-    return len(_echelon(_sparse_rows(m.entries)))
+    return len(_echelon(_sparse_rows(m.row_maps)))
 
 
 def det(m: RationalMatrix) -> Fraction:
@@ -286,26 +318,24 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 class Subspace:
-    """Linear subspace of Q^n, stored by its canonical (RREF) basis.
+    """Linear subspace of Q^n, stored by the rows of its canonical RREF.
 
-    The basis rows are independent by construction, have leading entry 1 and
-    do not depend on the order or scaling of the spanning vectors supplied.
-    ``pivots`` holds the column of each row's leading entry.
+    ``row_maps`` holds the rows as row maps: independent by construction,
+    leading entry 1, and independent of the order or scaling of the spanning
+    vectors supplied.  ``pivots`` holds the column of each row's leading
+    entry.  The spanning vectors may be dense sequences or row maps.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "pivots", "row_maps", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Sequence] = ()):
+    def __init__(self, ambient_dim: int, basis: Sequence = ()):
         self.ambient_dim = ambient_dim
-        for v in basis:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("basis vector has wrong length")
-        pivots, rows = _rref(basis)
+        pivots, rows = _rref([_row_map(v, ambient_dim) for v in basis])
         self.pivots = tuple(pivots)
-        self.basis = tuple(
-            tuple(Fraction(row[j], row[c]) if j in row else _ZERO for j in range(ambient_dim))
-            for c, row in zip(pivots, rows)
+        self.row_maps = tuple(
+            {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, rows)
         )
+        self._basis = None
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -313,11 +343,21 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim).entries)
+        return cls(ambient_dim, [{i: _ONE} for i in range(ambient_dim)])
+
+    @property
+    def basis(self) -> tuple:
+        """Dense view of the rows, built on first use."""
+        if self._basis is None:
+            self._basis = tuple(
+                tuple(row.get(j, _ZERO) for j in range(self.ambient_dim))
+                for row in self.row_maps
+            )
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -325,22 +365,26 @@ class Subspace:
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
-    def contains_vector(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector has wrong length")
-        resid = list(v)
-        for row, lead in zip(self.basis, self.pivots):
-            f = resid[lead]
+    def _holds(self, vec: dict) -> bool:
+        """Whether the row map vec lies in the subspace."""
+        resid = dict(vec)
+        for c, row in zip(self.pivots, self.row_maps):
+            f = resid.get(c)
             if f:
-                for i in range(lead, self.ambient_dim):
-                    x = row[i]
-                    if x:
-                        resid[i] -= f * x
-        return not any(resid)
+                for j, x in row.items():
+                    y = resid.get(j, 0) - f * x
+                    if y:
+                        resid[j] = y
+                    else:
+                        del resid[j]
+        return not any(resid.values())
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return self._holds(_row_map(v, self.ambient_dim))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self._holds(row) for row in other.row_maps)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Basis of the intersection, via the kernel of the stacked system.
@@ -349,23 +393,20 @@ class Subspace:
         gives sum x_i a_i = -sum y_j b_j, a vector of the intersection.
         """
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
+        p = self.dim
+        if p == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        system = RationalMatrix(list(zip(*self.basis, *other.basis)))
-        vectors = []
-        for coeffs in kernel(system).basis:
-            vec = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for r, x in enumerate(row):
-                        if x:
-                            vec[r] += c * x
-            vectors.append(vec)
-        return Subspace(self.ambient_dim, vectors)
+        system = RationalMatrix._of(
+            self.row_maps + other.row_maps, p + other.dim, self.ambient_dim
+        ).transpose()
+        return Subspace(self.ambient_dim, [
+            _lincomb({i: c for i, c in coeffs.items() if i < p}, self.row_maps)
+            for coeffs in kernel(system).row_maps
+        ])
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient_dim, self.row_maps + other.row_maps)
 
     def quotient_dim(self, sub: "Subspace") -> int:
         """dim(self / sub); raises unless sub really is contained in self."""
@@ -377,10 +418,10 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.row_maps == other.row_maps
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.row_maps)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -389,30 +430,26 @@ class Subspace:
 def kernel(m: RationalMatrix) -> Subspace:
     """Canonical basis of the null space; its dimension is cols - rank.
 
-    Eliminating with the columns reversed makes the vector read off for each
-    free column a row of the canonical basis: 1 at that column, nothing
-    before it and 0 at every other free column.
+    Eliminating with the columns reversed (column j re-keyed to n - 1 - j)
+    makes the vector read off for each free column a row of the canonical
+    basis: 1 at that column, nothing before it and 0 at every other free
+    column.
     """
     n = m.cols
-    pivots, rows = _rref([row[::-1] for row in m.entries])  # column j is n - 1 - j
+    pivots, rows = _rref([{n - 1 - j: x for j, x in row.items()} for row in m.row_maps])
     pivot_set = set(pivots)
-    vectors = []
-    for free in reversed(range(n)):
-        if free in pivot_set:
-            continue
-        vec = [0] * n
-        vec[n - 1 - free] = 1
-        for p, row in zip(pivots, rows):
-            x = row.get(free)
-            if x:
-                vec[n - 1 - p] = Fraction(-x, row[p])
-        vectors.append(vec)
-    return Subspace(n, vectors)
+    vectors = {free: {n - 1 - free: 1} for free in range(n) if free not in pivot_set}
+    for p, row in zip(pivots, rows):
+        lead = row[p]
+        for free, x in row.items():
+            if free != p:
+                vectors[free][n - 1 - p] = Fraction(-x, lead)
+    return Subspace(n, list(vectors.values()))
 
 
 def column_space(m: RationalMatrix) -> Subspace:
     """Span of the columns, as a subspace of Q^rows."""
-    return Subspace(m.rows, m.columns())
+    return Subspace(m.rows, m.transpose().row_maps)
 
 
 class InducedMap(NamedTuple):
@@ -439,14 +476,13 @@ def induced_map_rank(
         raise ContainmentError("W1 is not contained in V1")
     if not v2.contains(w2):
         raise ContainmentError("W2 is not contained in V2")
-    images = [matvec(f, v) for v in v1.basis]
-    for img in images:
-        if not v2.contains_vector(img):
-            raise ContainmentError("f does not map V1 into V2")
-    for w in w1.basis:
-        if not w2.contains_vector(matvec(f, w)):
-            raise ContainmentError("f does not map W1 into W2")
-    pushed = Subspace(v2.ambient_dim, list(w2.basis) + images)
+    by_columns = f.transpose().row_maps
+    images = [_lincomb(v, by_columns) for v in v1.row_maps]
+    if not all(v2._holds(img) for img in images):
+        raise ContainmentError("f does not map V1 into V2")
+    if not all(w2._holds(_lincomb(w, by_columns)) for w in w1.row_maps):
+        raise ContainmentError("f does not map W1 into W2")
+    pushed = Subspace(v2.ambient_dim, w2.row_maps + tuple(images))
     r = pushed.dim - w2.dim
     return InducedMap(
         rank=r,

@@ -53,8 +53,6 @@ from .linalg import (
     stack_rows,
 )
 
-_ZERO = Fraction(0)
-
 
 class NotClosedError(ValueError):
     """The candidate 2-form is not closed; carries the residual 3-form."""
@@ -160,20 +158,20 @@ class SymplecticStructure:
         p_int = [[int(x * den) for x in row] for row in p_full]
         scale = Fraction(1, den**k) * self._volume_coeff
         full_mask = (1 << n) - 1
-        entries = [[_ZERO] * len(masks) for _ in out_masks]
+        row_maps = [{} for _ in out_masks]
         idx = {m: [i - 1 for i in indices_from_mask(m)] for m in masks}
         for m in masks:
             comp = full_mask ^ m
             sgn = merge_sign(m, comp)
             factor = scale / sgn
-            row = entries[row_index[comp]]
+            row = row_maps[row_index[comp]]
             rows_m = idx[m]
             for jcol, mp in enumerate(masks):
                 cols_mp = idx[mp]
                 d = int_det([[p_int[a][b] for b in cols_mp] for a in rows_m])
                 if d:
                     row[jcol] = d * factor
-        return RationalMatrix(entries, rows=len(out_masks), cols=len(masks))
+        return RationalMatrix.from_rows(row_maps, len(out_masks), len(masks))
 
     # ---- cohomology building blocks ------------------------------------
 
@@ -292,8 +290,8 @@ class NaturalMaps(NamedTuple):
 
 def _anticommutes(s: SymplecticStructure, k: int) -> bool:
     """d d^Lambda + d^Lambda d = 0 on degree k."""
-    twisted = (s.dlam_mat(k + 1) @ s.algebra.d(k)).entries
-    return twisted == tuple(tuple(-x for x in row) for row in s.ddlam_mat(k).entries)
+    twisted = (s.dlam_mat(k + 1) @ s.algebra.d(k)).row_maps
+    return twisted == tuple({j: -x for j, x in row.items()} for row in s.ddlam_mat(k).row_maps)
 
 
 def natural_map_ranks(s: SymplecticStructure, k: int) -> NaturalMaps:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 
+import pytest
+
 from sympcoh import cli, symplectic
 
 KODAIRA_TSV = """k\tb\th_dLambda\th_BC\th_A\tdeltaTilde
@@ -373,6 +375,22 @@ def test_validate_bad_omega(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(doc))
     assert code == 1
     assert "degenerate" in out
+
+
+@pytest.mark.parametrize("omega, degree", [("123", 3), ("0", 0)])
+def test_validate_reports_omega_of_wrong_degree(tmp_path, capsys, omega, degree):
+    doc = tmp_path / "wrong_degree.cfg"
+    doc.write_text(
+        f"d = (0,0,0,23)\nomega = {omega}\nJ = [0,-1,0,0][1,0,0,0][0,0,0,-1][0,0,1,0]\n"
+    )
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 1
+    assert out.splitlines() == [
+        "algebra: ok (dim 4, nilpotent)",
+        f"omega: not a 2-form (degree {degree})",
+        "J: ok (J^2 = -identity)",
+    ]
+    assert err == ""
 
 
 def test_validate_reports_jacobi_failure(tmp_path, capsys):

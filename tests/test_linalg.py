@@ -61,6 +61,80 @@ def naive_kernel_vectors(rows, cols):
     return out
 
 
+# --- sparse storage -------------------------------------------------------
+
+
+def test_dense_and_sparse_constructors_agree():
+    dense = [[0, F(1, 2), 7], [0, 0, 0], [-3, 0, F(0)]]
+    sparse = [{2: 7, 1: F(1, 2)}, {}, {2: 0, 0: -3}]  # keys in another order
+    a = RationalMatrix(dense)
+    b = RationalMatrix.from_rows(sparse, 3, 3)
+    assert a == b and hash(a) == hash(b)
+    assert a.row_maps == ({1: F(1, 2), 2: F(7)}, {}, {0: F(-3)})
+    assert RationalMatrix.from_rows([{0: 1}], 1, 2) != RationalMatrix.from_rows([{1: 1}], 1, 2)
+
+
+def test_zero_cells_are_never_stored():
+    m = RationalMatrix([[0, F(0), 1], [F(0), 0, 0]])
+    assert m.row_maps == ({2: F(1)}, {})
+    assert all(type(x) is F for row in m.row_maps for x in row.values())
+    s = RationalMatrix.from_rows([{0: F(0), 1: 0, 2: F(5)}, {1: F(0)}], 2, 3)
+    assert s.row_maps == ({2: F(5)}, {})
+    assert RationalMatrix.zero(3, 4).row_maps == ({}, {}, {})
+    assert (RationalMatrix([[1, 1]]) @ RationalMatrix([[1], [-1]])).row_maps == ({},)
+
+
+def test_entries_round_trip_including_empty_shapes():
+    rng = random.Random(41)
+    dense = [[F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
+              for _ in range(7)] for _ in range(5)]
+    m = RationalMatrix(dense)
+    assert m.entries == tuple(tuple(row) for row in dense)
+    assert RationalMatrix(m.entries) == m
+    for rows, cols in ((0, 4), (4, 0), (0, 0)):
+        z = RationalMatrix.zero(rows, cols)
+        assert z.entries == tuple(() if cols == 0 else (F(0),) * cols for _ in range(rows))
+        assert RationalMatrix(z.entries, rows=rows, cols=cols) == z
+        assert RationalMatrix.from_rows([{}] * rows, rows, cols) == z
+
+
+def test_sparse_constructor_checks_shapes():
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.from_rows([{3: 1}], 1, 3)
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.from_rows([{}], 2, 3)
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix([[1, 2], [3]])
+
+
+def test_subspace_from_dense_vectors_equals_subspace_from_row_maps():
+    dense = [[0, 2, 0, 4], [1, 0, 0, 0], [1, 2, 0, 4], [0, 0, 0, 0]]
+    maps = [{3: F(4), 1: 2}, {2: 0, 0: F(1)}, {3: 4, 1: 2, 0: 1}, {}]
+    a, b = Subspace(4, dense), Subspace(4, maps)
+    assert a == b and hash(a) == hash(b)
+    assert a.row_maps == ({0: F(1)}, {1: F(1), 3: F(2)})
+    assert a.pivots == (0, 1)
+    assert a.basis == ((1, 0, 0, 0), (0, 1, 0, 2))
+    with pytest.raises(DimensionMismatch):
+        Subspace(4, [{4: 1}])
+
+
+# --- inverse --------------------------------------------------------------
+
+
+def test_inverse_by_elimination():
+    m = RationalMatrix([[0, 2, 0], [F(1, 3), 0, 1], [0, 0, -1]])
+    inv = m.inverse()
+    assert m @ inv == RationalMatrix.identity(3) == inv @ m
+    assert RationalMatrix.zero(0, 0).inverse() == RationalMatrix.zero(0, 0)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        RationalMatrix([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ValueError, match="matrix is singular"):
+        RationalMatrix.zero(2, 2).inverse()
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.zero(2, 3).inverse()
+
+
 # --- rank -----------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympcoh.linalg import RationalMatrix, Subspace, kernel, rank
+from sympcoh.linalg import RationalMatrix, Subspace, concat_cols, kernel, rank, stack_rows
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -69,6 +69,10 @@ def _matrix(seed):
     kind = KINDS[seed % len(KINDS)]
     # the first case of each kind has the largest size
     rows, cols = (40, 60) if seed < len(KINDS) else (rng.randint(1, 40), rng.randint(1, 60))
+    return _generate(rng, kind, rows, cols)
+
+
+def _generate(rng, kind, rows, cols):
     if kind == "sparse":
         return _sparse(rng, rows, cols)
     if kind == "degenerate":
@@ -83,6 +87,11 @@ def _to_sympy(rows):
     return DomainMatrix(
         [[QQ(x.numerator, x.denominator) for x in row] for row in rows], (len(rows), cols), QQ
     )
+
+
+def _small(rng, seed, rows, cols):
+    """A matrix of the kind of ``seed`` with the given shape."""
+    return _generate(rng, KINDS[seed % len(KINDS)], rows, cols)
 
 
 def _to_fractions(dm):
@@ -108,3 +117,52 @@ def test_elimination_matches_sympy(block):
         # sympy's nullspace, brought to its canonical form, is our kernel basis
         null = reduced.nullspace_from_rref(pivots)
         assert list(ker.basis) == _to_fractions(null.rref()[0]), f"seed {seed}: kernel"
+
+
+def test_products_transposes_and_blocks_match_sympy():
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        r, k, c, extra = (rng.randint(1, 12) for _ in range(4))
+        a, b = _small(rng, seed, r, k), _small(rng, seed + 1, k, c)
+        below, beside = _small(rng, seed + 2, extra, k), _small(rng, seed + 3, r, extra)
+        ma, sa = RationalMatrix(a), _to_sympy(a)
+        product = RationalMatrix(a) @ RationalMatrix(b)
+        assert list(product.entries) == _to_fractions(sa.matmul(_to_sympy(b))), f"seed {seed}: @"
+        assert list(ma.transpose().entries) == _to_fractions(sa.transpose()), f"seed {seed}: T"
+        stacked = stack_rows(ma, RationalMatrix(below))
+        assert list(stacked.entries) == _to_fractions(sa.vstack(_to_sympy(below))), seed
+        joined = concat_cols(ma, RationalMatrix(beside))
+        assert list(joined.entries) == _to_fractions(sa.hstack(_to_sympy(beside))), seed
+
+
+def test_inverse_matches_sympy():
+    singular = 0
+    for seed in range(60):
+        rng = random.Random(2000 + seed)
+        n = rng.randint(1, 10)
+        rows = [
+            [F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else F(0)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        m, sm = RationalMatrix(rows), _to_sympy(rows)
+        if sm.rank() < n:
+            singular += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                m.inverse()
+            continue
+        assert list(m.inverse().entries) == _to_fractions(sm.inv()), f"seed {seed}"
+    assert 0 < singular < 30
+
+
+def test_intersection_and_sum_dimensions_match_sympy():
+    for seed in range(80):
+        rng = random.Random(3000 + seed)
+        n = rng.randint(1, 14)
+        a = _small(rng, seed, rng.randint(1, 10), n)
+        b = _small(rng, seed + 1, rng.randint(1, 10), n)
+        sa, sb = Subspace(n, a), Subspace(n, b)
+        joint = _to_sympy(a + b).rank()
+        assert sa.sum(sb).dim == joint, f"seed {seed}: sum"
+        assert sa.intersect(sb).dim == sa.dim + sb.dim - joint, f"seed {seed}: intersect"
+        assert sa.dim == _to_sympy(a).rank() and sb.dim == _to_sympy(b).rank()
