@@ -7,26 +7,21 @@ subspaces this module extracts, together with the dimensions of the
 de Rham classes representable by such forms.
 
 Complexification never materializes: on degree p+q the derivation extension
-of J (one wedge slot at a time) acts with eigenvalue i(p-q) on the (p, q)
-component, so the real pure-type subspace is the rational kernel of
-(derivation^2 + (p-q)^2).  In degree two this coincides with the +1 / -1
-eigenspaces of the plain action, which are kept as the fast path: the +1
-eigenspace is the J-invariant (1,1) part, the -1 eigenspace the
-J-anti-invariant (2,0)+(0,2) part.
+D of J (``forms.derivation`` on the rows of J, one wedge slot at a time)
+acts with eigenvalue i(p-q) on the (p, q) component, so the real pure-type
+subspace is the rational kernel of D^2 + (p-q)^2 in every degree.  Each
+``AlmostComplexStructure`` caches D per degree and the pure-type subspace
+per degree and |p-q|, so (p, q) and (q, p), ``h_j`` and ``pure_full_check``
+share one kernel.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from . import cec
-from .forms import KForm, j_action, j_derivation, matrix_of, two_form_matrix
-from .linalg import (
-    DimensionMismatch,
-    RationalMatrix,
-    Subspace,
-    det,
-    kernel,
-)
+from .forms import KForm, derivation, matrix_of, two_form_matrix
+from .linalg import DimensionMismatch, RationalMatrix, Subspace, int_det, kernel
 
 COMPATIBLE = "compatible"
 TAMED_ONLY = "tamed_only"
@@ -51,42 +46,48 @@ def validate_acs(algebra: cec.LieAlgebra, j: RationalMatrix) -> None:
 
 
 class AlmostComplexStructure:
-    """A validated pair (algebra, J) with cached action matrices."""
+    """A validated pair (algebra, J).
+
+    The derivation matrix of each degree and the pure-type subspace of each
+    degree and |p-q| are built on first use and cached for the object's
+    lifetime, like the complex of a ``LieAlgebra``.
+    """
 
     def __init__(self, algebra: cec.LieAlgebra, j: RationalMatrix):
         validate_acs(algebra, j)
         self.algebra = algebra
         self.j = j
-        self._action_mats: dict = {}
-        self._derivation_mats: dict = {}
+        self._cache: dict = {}
 
-    def action_matrix(self, k: int) -> RationalMatrix:
-        """Matrix of the multiplicative J action on degree k."""
-        if k not in self._action_mats:
-            n = self.algebra.dim
-            self._action_mats[k] = matrix_of(lambda a: j_action(self.j, a), n, k, n, k)
-        return self._action_mats[k]
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def derivation_matrix(self, k: int) -> RationalMatrix:
-        if k not in self._derivation_mats:
-            n = self.algebra.dim
-            self._derivation_mats[k] = matrix_of(
-                lambda a: j_derivation(self.j, a), n, k, n, k
-            )
-        return self._derivation_mats[k]
+        """Matrix of the derivation extension of J on degree k."""
+        n = self.algebra.dim
+
+        def build():
+            images = [KForm(n, 1, {1 << c: x for c, x in row.items()}) for row in self.j.row_maps]
+            return matrix_of(lambda a: derivation(images, 0, a), n, k, n, k)
+
+        return self._cached(("derivation", k), build)
 
     def __repr__(self):
         return f"AlmostComplexStructure(dim={self.algebra.dim})"
 
 
 def _positive_definite(sym: RationalMatrix) -> bool:
-    """Sylvester criterion: all leading principal minors strictly positive."""
+    """Sylvester criterion: all leading principal minors strictly positive.
+
+    The minors are taken of the matrix scaled by the lcm of its denominators,
+    an integer matrix; a positive scale keeps the sign of every minor.
+    """
     n = sym.rows
-    for k in range(1, n + 1):
-        minor = RationalMatrix([row[:k] for row in sym.entries[:k]])
-        if det(minor) <= 0:
-            return False
-    return True
+    mult = lcm(*[x.denominator for row in sym.entries for x in row])
+    scaled = [[int(x * mult) for x in row] for row in sym.entries]
+    return all(int_det([row[:k] for row in scaled[:k]]) > 0 for k in range(1, n + 1))
 
 
 def compatibility(omega, acs: AlmostComplexStructure) -> str:
@@ -136,12 +137,12 @@ def pure_type_subspace(acs: AlmostComplexStructure, p: int, q: int) -> Subspace:
         raise ValueError("bidegrees must be nonnegative")
     if k > n:
         raise ValueError(f"degree {k} exceeds the ambient dimension {n}")
-    if k == 2:
-        # fast path: eigenspaces of the involutive action on 2-forms
-        shift = Fraction(-1) if p == q else Fraction(1)
-        return kernel(_plus_scalar(acs.action_matrix(2), shift))
-    dm = acs.derivation_matrix(k)
-    return kernel(_plus_scalar(dm @ dm, Fraction((p - q) ** 2)))
+
+    def build():
+        dm = acs.derivation_matrix(k)
+        return kernel(_plus_scalar(dm @ dm, Fraction((p - q) ** 2)))
+
+    return acs._cached(("pure", k, abs(p - q)), build)
 
 
 class PureTypeGroup(NamedTuple):

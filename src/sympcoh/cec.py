@@ -17,13 +17,10 @@ theory reads d, ker d and im d from there.  The cache lives as long as the
 object; catalog entries are module-level, so theirs last the whole process.
 """
 
-from fractions import Fraction
 from math import comb
 
-from .forms import KForm, basis_masks, matrix_of, merge_sign
+from .forms import KForm, basis_masks, derivation, matrix_of
 from .linalg import DimensionMismatch, RationalMatrix, Subspace, column_space, kernel, rank
-
-_ZERO = Fraction(0)
 
 
 class LieAlgebra:
@@ -90,28 +87,7 @@ def differential(g: LieAlgebra, a: KForm) -> KForm:
     """Exterior differential, extended from the generators as an anti-derivation."""
     if a.n != g.dim:
         raise DimensionMismatch("form does not live on the algebra's space")
-    out: dict = {}
-    for mask, c in a.coeffs.items():
-        slot_sign = 1
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            dgen = g.gen_differentials[low.bit_length() - 1]
-            if dgen.coeffs:
-                prefix = mask & (low - 1)
-                suffix = (mask ^ low) ^ prefix
-                for dm, dc in dgen.coeffs.items():
-                    s1 = merge_sign(prefix, dm)
-                    if s1 == 0:
-                        continue
-                    s2 = merge_sign(prefix | dm, suffix)
-                    if s2 == 0:
-                        continue
-                    key = prefix | dm | suffix
-                    out[key] = out.get(key, _ZERO) + c * dc * (slot_sign * s1 * s2)
-            slot_sign = -slot_sign
-    return KForm(g.dim, a.degree + 1, out)
+    return derivation(g.gen_differentials, 1, a)
 
 
 def validate(g: LieAlgebra) -> int | None:

@@ -352,35 +352,42 @@ def j_action(j: RationalMatrix, a: KForm) -> KForm:
     return pullback_along(j, a)
 
 
-def j_derivation(j: RationalMatrix, a: KForm) -> KForm:
-    """Derivation extension of J: replace one wedge slot at a time.
+def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
+    """Extension of e^i -> images[i-1] to all forms as a derivation of degree shift.
 
-    On forms of pure complex bidegree (p, q) this operator acts with
-    eigenvalue i(p - q), which is what the bigrading projectors use.
+    ``images`` holds one form of degree 1 + shift per generator of the space
+    of ``a``.  The image of a basis form replaces one wedge slot at a time,
+
+        e^{i1...ik} -> sum_j (-1)^(shift (j-1)) e^{i1} ^ ... ^ images[ij-1] ^ ... ^ e^{ik},
+
+    so shift 1 gives an anti-derivation (the Chevalley-Eilenberg d from the
+    generator differentials) and shift 0 a plain derivation (the extension of
+    J from its rows, which acts with eigenvalue i(p - q) on forms of pure
+    complex bidegree (p, q)).
     """
-    if j.rows != j.cols or j.rows != a.n:
-        raise DimensionMismatch("structure matrix does not match the form")
+    step = -1 if shift & 1 else 1
     out: dict = {}
     for mask, c in a.coeffs.items():
+        slot_sign = 1
         rem = mask
         while rem:
             low = rem & -rem
             rem ^= low
-            rest = mask ^ low
-            row = j.row_maps[low.bit_length() - 1]
-            prefix = rest & (low - 1)
-            suffix = rest ^ prefix
-            for col, v in row.items():
-                b = 1 << col
-                s1 = merge_sign(prefix, b)
-                if s1 == 0:
-                    continue
-                s2 = merge_sign(prefix | b, suffix)
-                if s2 == 0:
-                    continue
-                key = prefix | b | suffix
-                out[key] = out.get(key, _ZERO) + c * v * s1 * s2
-    return KForm(a.n, a.degree, out)
+            image = images[low.bit_length() - 1]
+            if image.coeffs:
+                prefix = mask & (low - 1)
+                suffix = (mask ^ low) ^ prefix
+                for im, ic in image.coeffs.items():
+                    s1 = merge_sign(prefix, im)
+                    if s1 == 0:
+                        continue
+                    s2 = merge_sign(prefix | im, suffix)
+                    if s2 == 0:
+                        continue
+                    key = prefix | im | suffix
+                    out[key] = out.get(key, _ZERO) + c * ic * (slot_sign * s1 * s2)
+            slot_sign *= step
+    return KForm(a.n, a.degree + shift, out)
 
 
 def matrix_of(

@@ -267,32 +267,6 @@ def rank(m: RationalMatrix) -> int:
     return len(_echelon(_sparse_rows(m.row_maps)))
 
 
-def det(m: RationalMatrix) -> Fraction:
-    """Determinant by exact Gaussian elimination with column pivoting."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return _ONE
-    work = [list(row) for row in m.entries]
-    sign = 1
-    result = _ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if piv is None:
-            return _ZERO
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        p = work[c][c]
-        result *= p
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / p
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return sign * result
-
-
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a small integer matrix, fraction-free."""
     n = len(rows)
@@ -338,6 +312,16 @@ class Subspace:
         self._basis = None
 
     @classmethod
+    def _of(cls, ambient_dim: int, pivots, row_maps) -> "Subspace":
+        """From canonical RREF rows, pivots ascending and leading entries 1, unchecked."""
+        s = cls.__new__(cls)
+        s.ambient_dim = ambient_dim
+        s.pivots = tuple(pivots)
+        s.row_maps = tuple(row_maps)
+        s._basis = None
+        return s
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
 
@@ -379,9 +363,6 @@ class Subspace:
                         del resid[j]
         return not any(resid.values())
 
-    def contains_vector(self, v: Sequence) -> bool:
-        return self._holds(_row_map(v, self.ambient_dim))
-
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(self._holds(row) for row in other.row_maps)
@@ -408,13 +389,6 @@ class Subspace:
         self._check_ambient(other)
         return Subspace(self.ambient_dim, self.row_maps + other.row_maps)
 
-    def quotient_dim(self, sub: "Subspace") -> int:
-        """dim(self / sub); raises unless sub really is contained in self."""
-        self._check_ambient(sub)
-        if not self.contains(sub):
-            raise ContainmentError("claimed subspace is not contained in the space")
-        return self.dim - sub.dim
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -433,18 +407,21 @@ def kernel(m: RationalMatrix) -> Subspace:
     Eliminating with the columns reversed (column j re-keyed to n - 1 - j)
     makes the vector read off for each free column a row of the canonical
     basis: 1 at that column, nothing before it and 0 at every other free
-    column.
+    column.  The rows become the subspace as they are, with no second
+    elimination.
     """
     n = m.cols
     pivots, rows = _rref([{n - 1 - j: x for j, x in row.items()} for row in m.row_maps])
     pivot_set = set(pivots)
-    vectors = {free: {n - 1 - free: 1} for free in range(n) if free not in pivot_set}
+    # free columns from the last, so the rows' leading columns n - 1 - free ascend
+    vectors = {free: {n - 1 - free: _ONE} for free in range(n - 1, -1, -1)
+               if free not in pivot_set}
     for p, row in zip(pivots, rows):
         lead = row[p]
         for free, x in row.items():
             if free != p:
                 vectors[free][n - 1 - p] = Fraction(-x, lead)
-    return Subspace(n, list(vectors.values()))
+    return Subspace._of(n, [n - 1 - free for free in vectors], vectors.values())
 
 
 def column_space(m: RationalMatrix) -> Subspace:

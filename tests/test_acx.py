@@ -7,8 +7,8 @@ import pytest
 from helpers import FOUR_DIM_NAMES
 from sympcoh import acx, catalog, cec
 from sympcoh.catalog import standard_block_j
-from sympcoh.forms import KForm
-from sympcoh.linalg import RationalMatrix, kernel
+from sympcoh.forms import KForm, j_action, matrix_of
+from sympcoh.linalg import RationalMatrix, Subspace, kernel, rank
 from sympcoh.parser import parse_form, parse_salamon
 
 F = Fraction
@@ -81,6 +81,37 @@ def test_compatibility_tamed_only():
     assert acx.compatibility(parse_form("12+34+13", 4), a) == acx.TAMED_ONLY
 
 
+def _positive_pivots(rows):
+    """Independent oracle: elimination without pivoting meets only positive pivots."""
+    work = [list(row) for row in rows]
+    for c in range(len(work)):
+        if work[c][c] <= 0:
+            return False
+        for i in range(c + 1, len(work)):
+            f = work[i][c] / work[c][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return True
+
+
+def test_positive_definite_matches_elimination_oracle():
+    assert acx._positive_definite(RationalMatrix([[F(1, 2)]]))
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        base = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        shift = F(rng.randint(-3, 3), rng.randint(1, 4))
+        # B^T B + shift * I: symmetric, positive definite or not depending on shift
+        rows = [
+            [sum(b[i] * b[j] for b in base) + (shift if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        expected = _positive_pivots(rows)
+        verdicts.add(expected)
+        assert acx._positive_definite(RationalMatrix(rows)) == expected, rows
+    assert verdicts == {True, False}
+
+
 # --- pure-type subspaces -------------------------------------------------------
 
 
@@ -90,9 +121,9 @@ def test_pure_type_dimensions_on_r4():
     anti = acx.pure_type_subspace(a, 2, 0)
     assert inv.dim == 4 and anti.dim == 2
     for form in (e(4, 1, 2), e(4, 3, 4), e(4, 1, 3) + e(4, 2, 4), e(4, 1, 4) - e(4, 2, 3)):
-        assert inv.contains_vector(form.to_vector())
+        assert inv.contains(Subspace(6, [form.to_vector()]))
     for form in (e(4, 1, 3) - e(4, 2, 4), e(4, 1, 4) + e(4, 2, 3)):
-        assert anti.contains_vector(form.to_vector())
+        assert anti.contains(Subspace(6, [form.to_vector()]))
 
 
 def test_pure_type_complementarity_in_degree_two(acs_structures):
@@ -104,25 +135,26 @@ def test_pure_type_complementarity_in_degree_two(acs_structures):
         assert inv.dim + anti.dim == comb(n, 2), name
 
 
-def test_pure_type_symmetric_in_p_q(acs_structures):
-    a = acs_structures["torus8"]
-    assert acx.pure_type_subspace(a, 2, 0) == acx.pure_type_subspace(a, 0, 2)
-    assert acx.pure_type_subspace(a, 3, 1) == acx.pure_type_subspace(a, 1, 3)
+def test_pure_type_symmetric_in_p_q():
+    # two fresh structures, so the subspace cached for (p, q) cannot answer (q, p)
+    entry = catalog.get("torus8")
+    for p, q in ((2, 0), (3, 1)):
+        a = acx.AlmostComplexStructure(entry.algebra, entry.default_j)
+        b = acx.AlmostComplexStructure(entry.algebra, entry.default_j)
+        assert acx.pure_type_subspace(a, p, q) == acx.pure_type_subspace(b, q, p)
 
 
-def test_pure_type_degree_two_fast_path_matches_derivation(acs_structures):
-    # the +-1 eigenspace shortcut and the derivation projector must agree
+def test_pure_type_degree_two_matches_j_action_eigenspaces(acs_structures):
+    # J acts on 2-forms as an involution: (1,1) is its +1 eigenspace and
+    # (2,0)+(0,2) its -1 eigenspace
     for name, a in acs_structures.items():
         n = a.algebra.dim
-        dim2 = comb(n, 2)
-        dm = a.derivation_matrix(2)
-        sq = dm @ dm
-        for p, q in ((1, 1), (2, 0)):
-            c = F((p - q) ** 2)
+        action = matrix_of(lambda form: j_action(a.j, form), n, 2, n, 2)
+        for p, q, eigenvalue in ((1, 1, 1), (2, 0, -1)):
             shifted = RationalMatrix(
                 [
-                    [sq.entries[i][j] + (c if i == j else 0) for j in range(dim2)]
-                    for i in range(dim2)
+                    [x - (eigenvalue if i == j else 0) for j, x in enumerate(row)]
+                    for i, row in enumerate(action.entries)
                 ]
             )
             assert acx.pure_type_subspace(a, p, q) == kernel(shifted), (name, p, q)
@@ -185,7 +217,7 @@ def test_h_j_representatives(acs_structures):
     pure = acx.pure_type_subspace(a, 1, 1)
     for rep in group.representative_basis:
         assert cec.differential(a.algebra, rep).is_zero()
-        assert pure.contains_vector(rep.to_vector())
+        assert pure.contains(Subspace(pure.ambient_dim, [rep.to_vector()]))
 
 
 def test_h_j_dimension_is_quotient_dimension(acs_structures):
@@ -197,6 +229,32 @@ def test_h_j_dimension_is_quotient_dimension(acs_structures):
     zp = z.intersect(p)
     assert zp.dim == 1
     assert acx.h_j(a, 2, 0).dim == 1
+
+
+def test_session_builds_each_derivation_and_pure_type_once(monkeypatch):
+    degrees, kernels = [], []
+    original_matrix_of, original_kernel = acx.matrix_of, acx.kernel
+
+    def counting_matrix_of(op, n_in, k_in, n_out, k_out):
+        degrees.append(k_in)
+        return original_matrix_of(op, n_in, k_in, n_out, k_out)
+
+    def counting_kernel(m):
+        kernels.append(m.cols)
+        return original_kernel(m)
+
+    monkeypatch.setattr(acx, "matrix_of", counting_matrix_of)
+    monkeypatch.setattr(acx, "kernel", counting_kernel)
+    eta = catalog.get("etabeta5")
+    a = acx.AlmostComplexStructure(eta.algebra, eta.default_j)
+    acx.h_j(a, 1, 1)
+    acx.h_j(a, 2, 0)
+    acx.pure_full_check(a)
+    acx.h_j(a, 2, 1)
+    acx.h_j(a, 1, 2)
+    # D_2 and D_3; pure types (2, |p-q| = 0), (2, 2) and (3, 1)
+    assert degrees == [2, 3]
+    assert kernels == [comb(10, 2), comb(10, 2), comb(10, 3)]
 
 
 # --- pure and full ----------------------------------------------------------
@@ -224,9 +282,7 @@ def test_abelian_algebra_any_constant_j_pure_and_full():
     # conjugate the block structure by a random invertible matrix
     while True:
         m = RationalMatrix([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
-        from sympcoh.linalg import det
-
-        if det(m) != 0:
+        if rank(m) == 4:
             break
     j = m @ J0 @ m.inverse()
     a = acx.AlmostComplexStructure(g, j)

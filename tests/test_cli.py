@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from sympcoh import cli, symplectic
+from sympcoh import catalog, cli, symplectic
 
 KODAIRA_TSV = """k\tb\th_dLambda\th_BC\th_A\tdeltaTilde
 0\t1\t1\t1\t1\t0
@@ -100,6 +100,15 @@ def test_report_unknown_input_is_syntax_error(capsys):
     code, _, err = run(capsys, "report", "not-a-thing")
     assert code == 2
     assert "neither a file nor a catalog name" in err
+
+
+def test_unknown_catalog_name_in_file_is_one_unquoted_line(tmp_path, capsys):
+    doc = tmp_path / "nosuch.cfg"
+    doc.write_text("name = nosuch\n")
+    code, out, err = run(capsys, "report", str(doc))
+    assert code == 1 and out == ""
+    available = ", ".join(catalog.names())
+    assert err == f"error: unknown catalog entry 'nosuch'; available: {available}\n"
 
 
 def test_report_from_input_file(tmp_path, capsys):

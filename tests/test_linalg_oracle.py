@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from sympcoh.linalg import RationalMatrix, Subspace, concat_cols, kernel, rank, stack_rows
+from sympcoh.linalg import (
+    RationalMatrix,
+    Subspace,
+    concat_cols,
+    int_det,
+    kernel,
+    rank,
+    stack_rows,
+)
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -117,6 +125,10 @@ def test_elimination_matches_sympy(block):
         # sympy's nullspace, brought to its canonical form, is our kernel basis
         null = reduced.nullspace_from_rref(pivots)
         assert list(ker.basis) == _to_fractions(null.rref()[0]), f"seed {seed}: kernel"
+        # kernel builds its Subspace from the rows it reads off, unreduced again
+        again = Subspace(cols, ker.row_maps)
+        assert again == ker and again.pivots == ker.pivots, f"seed {seed}: kernel rows"
+        assert all(type(x) is F for row in ker.row_maps for x in row.values()), seed
 
 
 def test_products_transposes_and_blocks_match_sympy():
@@ -166,3 +178,14 @@ def test_intersection_and_sum_dimensions_match_sympy():
         assert sa.sum(sb).dim == joint, f"seed {seed}: sum"
         assert sa.intersect(sb).dim == sa.dim + sb.dim - joint, f"seed {seed}: intersect"
         assert sa.dim == _to_sympy(a).rank() and sb.dim == _to_sympy(b).rank()
+
+
+def test_int_det_matches_fraction_det():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:  # singular: a repeated row
+            rows[-1] = rows[0]
+        expected = DomainMatrix([[QQ(x) for x in row] for row in rows], (n, n), QQ).det()
+        assert int_det(rows) == expected, rows
