@@ -17,6 +17,7 @@ from .acx import (
     compatibility,
     h_j,
     pure_full_check,
+    pure_subquotient,
     pure_type_subspace,
     validate_acs,
 )

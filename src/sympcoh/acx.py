@@ -10,9 +10,10 @@ Complexification never materializes: on degree p+q the derivation extension
 D of J (``forms.derivation`` on the rows of J, one wedge slot at a time)
 acts with eigenvalue i(p-q) on the (p, q) component, so the real pure-type
 subspace is the rational kernel of D^2 + (p-q)^2 in every degree.  Each
-``AlmostComplexStructure`` caches D per degree and the pure-type subspace
-per degree and |p-q|, so (p, q) and (q, p), ``h_j`` and ``pure_full_check``
-share one kernel.
+``AlmostComplexStructure`` caches D per degree and, per degree and |p-q|,
+the pure-type subspace and the closed pure-type forms with the exact ones
+among them (``pure_subquotient``), so (p, q) and (q, p), ``h_j``,
+``pure_full_check`` and the J pullback share one computation.
 """
 
 from fractions import Fraction
@@ -46,14 +47,15 @@ def validate_acs(algebra: cec.LieAlgebra, j: RationalMatrix) -> None:
 
 
 class AlmostComplexStructure:
-    """A validated pair (algebra, J).
+    """A validated pair (algebra, J): Jacobi holds and J^2 = -I.
 
-    The derivation matrix of each degree and the pure-type subspace of each
-    degree and |p-q| are built on first use and cached for the object's
-    lifetime, like the complex of a ``LieAlgebra``.
+    The derivation matrix of each degree, and the pure-type subspace and
+    subquotient of each degree and |p-q|, are built on first use and cached
+    for the object's lifetime, like the complex of a ``LieAlgebra``.
     """
 
     def __init__(self, algebra: cec.LieAlgebra, j: RationalMatrix):
+        cec.require_jacobi(algebra)
         validate_acs(algebra, j)
         self.algebra = algebra
         self.j = j
@@ -152,34 +154,36 @@ class PureTypeGroup(NamedTuple):
     representative_basis: tuple | None
 
 
+def pure_subquotient(acs: AlmostComplexStructure, p: int, q: int) -> tuple[Subspace, Subspace]:
+    """(Z ^ P, Z ^ P ^ B): closed, pure-type (P) and exact (B) forms in degree p+q."""
+    pure = pure_type_subspace(acs, p, q)  # rejects bad bidegrees first
+    g, k = acs.algebra, p + q
+
+    def build():
+        zp = g.cycles(k).intersect(pure)
+        return zp, zp.intersect(g.boundaries(k))
+
+    return acs._cached(("subquotient", k, abs(p - q)), build)
+
+
 def h_j(
     acs: AlmostComplexStructure,
     p: int,
     q: int,
     with_representatives: bool = False,
 ) -> PureTypeGroup:
-    """Dimension of the de Rham classes carrying a pure (p,q)+(q,p) form.
-
-    Computed as dim(Z ^ P) - dim(Z ^ P ^ B) with Z the closed forms, B the
-    exact forms and P the pure-type subspace in degree p+q.
-    """
-    g = acs.algebra
-    k = p + q
-    pure = pure_type_subspace(acs, p, q)  # rejects bad bidegrees first
-    zp = g.cycles(k).intersect(pure)
-    zpb = zp.intersect(g.boundaries(k))
-    dim = zp.dim - zpb.dim
+    """Dimension of the de Rham classes carrying a pure (p,q)+(q,p) form."""
+    zp, zpb = pure_subquotient(acs, p, q)
     reps = None
     if with_representatives:
-        reps = []
-        span = zpb
+        reps, span = [], zpb
         for vec in zp.basis:
             grown = span.sum(Subspace(zp.ambient_dim, [vec]))
             if grown.dim > span.dim:
-                reps.append(KForm.from_vector(g.dim, k, vec))
+                reps.append(KForm.from_vector(acs.algebra.dim, p + q, vec))
                 span = grown
         reps = tuple(reps)
-    return PureTypeGroup(p=p, q=q, dim=dim, representative_basis=reps)
+    return PureTypeGroup(p=p, q=q, dim=zp.dim - zpb.dim, representative_basis=reps)
 
 
 class PureFullResult(NamedTuple):
@@ -195,10 +199,8 @@ def pure_full_check(acs: AlmostComplexStructure) -> PureFullResult:
     exact forms they span all closed 2-forms.
     """
     z, b = acs.algebra.cycles(2), acs.algebra.boundaries(2)
-    s_inv = z.intersect(pure_type_subspace(acs, 1, 1))
-    s_anti = z.intersect(pure_type_subspace(acs, 2, 0))
-    lifted_inv = s_inv.sum(b)
-    lifted_anti = s_anti.sum(b)
+    lifted_inv = pure_subquotient(acs, 1, 1)[0].sum(b)
+    lifted_anti = pure_subquotient(acs, 2, 0)[0].sum(b)
     pure = lifted_inv.intersect(lifted_anti).dim == b.dim
     full = lifted_inv.sum(lifted_anti).dim == z.dim
     return PureFullResult(pure=pure, full=full)

@@ -100,6 +100,13 @@ def validate(g: LieAlgebra) -> int | None:
     return g._cached("jacobi", lambda: _first_unclosed(g))
 
 
+def require_jacobi(g: LieAlgebra) -> None:
+    """Raise ValueError, naming the generator, unless ``validate`` passes."""
+    bad = validate(g)
+    if bad is not None:
+        raise ValueError(f"structure equations violate Jacobi at generator {bad}")
+
+
 def _first_unclosed(g: LieAlgebra) -> int | None:
     for m, dgen in enumerate(g.gen_differentials, start=1):
         if not differential(g, dgen).is_zero():
@@ -142,9 +149,7 @@ class BettiTable:
 
 def betti(g: LieAlgebra) -> BettiTable:
     """b_k = dim ker d_k - rank d_(k-1), computed exactly from ranks."""
-    bad = validate(g)
-    if bad is not None:
-        raise ValueError(f"structure equations violate Jacobi at generator {bad}")
+    require_jacobi(g)
     n = g.dim
     return BettiTable(comb(n, k) - g.rank_d(k) - g.rank_d(k - 1) for k in range(n + 1))
 

@@ -299,24 +299,14 @@ def cmd_pullback(args) -> int:
         _check_dim_guard(doc)
         _validated_algebra(doc)
     f = _load_morphism(args.map, src_doc.algebra, tgt_doc.algebra)
-    kwargs = {}
+    kwargs = {"degree": args.degree}
+    structure = _symplectic_structure if args.theory in symplectic.GROUPS else None
     if args.theory == "J":
         if args.p is None or args.q is None:
             raise InputError("theory J needs --p and --q")
-        kwargs.update(
-            p=args.p,
-            q=args.q,
-            source_structure=_acs(src_doc),
-            target_structure=_acs(tgt_doc),
-        )
-    elif args.theory in ("dLambda", "BottChern", "Aeppli"):
-        kwargs.update(
-            degree=args.degree,
-            source_structure=_symplectic_structure(src_doc),
-            target_structure=_symplectic_structure(tgt_doc),
-        )
-    else:
-        kwargs.update(degree=args.degree)
+        kwargs, structure = {"p": args.p, "q": args.q}, _acs
+    if structure is not None:
+        kwargs.update(source_structure=structure(src_doc), target_structure=structure(tgt_doc))
     if args.theory != "J" and args.degree is None:
         raise InputError("--degree is required for this theory")
     rep = morphism.induced_report(f, args.theory, **kwargs)

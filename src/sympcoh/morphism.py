@@ -22,14 +22,7 @@ from typing import NamedTuple
 
 from . import acx, cec, symplectic
 from .forms import KForm, matrix_of, pullback_along
-from .linalg import (
-    DimensionMismatch,
-    RationalMatrix,
-    column_space,
-    induced_map_rank,
-    kernel,
-    rank,
-)
+from .linalg import DimensionMismatch, RationalMatrix, induced_map_rank, rank
 
 THEORIES = ("deRham", "dLambda", "BottChern", "Aeppli", "J")
 
@@ -147,9 +140,12 @@ def induced_report(
     ``source_structure``/``target_structure`` are symplectic structures for
     the symplectic theories and almost-complex structures for theory "J";
     they must live on the morphism's source/target algebras respectively.
+    Both algebras must satisfy the Jacobi identity (``ValueError`` otherwise).
     """
     if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; pick one of {THEORIES}")
+    for g in (f.source, f.target):
+        cec.require_jacobi(g)
     bad = validate_morphism(f)
     if bad is not None:
         raise HypothesisError(f"not a morphism: target generator {bad} fails d-commutation")
@@ -164,44 +160,25 @@ def induced_report(
     if not 0 <= degree <= top:
         raise ValueError(f"degree {degree} out of range 0..{top}")
 
-    n_t = f.target.dim
     if theory == "deRham":
-        v1, w1 = f.target.cycles(degree), f.target.boundaries(degree)
-        v2, w2 = f.source.cycles(degree), f.source.boundaries(degree)
-    elif theory == "J":
-        _require_structure(source_structure, f.source, "source", acx.AlmostComplexStructure)
-        _require_structure(target_structure, f.target, "target", acx.AlmostComplexStructure)
-        if f.matrix @ source_structure.j != target_structure.j @ f.matrix:
-            raise HypothesisError("morphism does not intertwine the almost-complex structures")
-        pt = acx.pure_type_subspace(target_structure, p, q)
-        ps = acx.pure_type_subspace(source_structure, p, q)
-        v1 = f.target.cycles(degree).intersect(pt)
-        w1 = v1.intersect(f.target.boundaries(degree))
-        v2 = f.source.cycles(degree).intersect(ps)
-        w2 = v2.intersect(f.source.boundaries(degree))
+        spaces = [(g.cycles(degree), g.boundaries(degree)) for g in (f.target, f.source)]
     else:
-        _require_structure(source_structure, f.source, "source", symplectic.SymplecticStructure)
-        _require_structure(target_structure, f.target, "target", symplectic.SymplecticStructure)
-        if not check_pullback_symplectic(f, target_structure.omega, source_structure.omega):
+        kind = acx.AlmostComplexStructure if theory == "J" else symplectic.SymplecticStructure
+        _require_structure(source_structure, f.source, "source", kind)
+        _require_structure(target_structure, f.target, "target", kind)
+        structures = (target_structure, source_structure)
+        if theory == "J":
+            if f.matrix @ source_structure.j != target_structure.j @ f.matrix:
+                raise HypothesisError("morphism does not intertwine the almost-complex structures")
+            spaces = [acx.pure_subquotient(s, p, q) for s in structures]
+        elif check_pullback_symplectic(f, target_structure.omega, source_structure.omega):
+            spaces = [s.subquotient(theory, degree) for s in structures]
+        else:
             raise HypothesisError(
                 "pullback of the target symplectic form differs from the source form"
             )
-        st, ss = target_structure, source_structure
-        if theory == "dLambda":
-            v1 = kernel(st.dlam_mat(degree))
-            w1 = column_space(st.dlam_mat(degree + 1))
-            v2 = kernel(ss.dlam_mat(degree))
-            w2 = column_space(ss.dlam_mat(degree + 1))
-        elif theory == "BottChern":
-            v1, w1 = st.ker_bc(degree), st.im_ddlam(degree)
-            v2, w2 = ss.ker_bc(degree), ss.im_ddlam(degree)
-        else:  # Aeppli
-            v1, w1 = st.ker_ddlam(degree), st.im_sum(degree)
-            v2, w2 = ss.ker_ddlam(degree), ss.im_sum(degree)
-
-    pb_matrix = matrix_of(
-        lambda a: pullback(f, a), n_t, degree, f.source.dim, degree
-    )
+    (v1, w1), (v2, w2) = spaces
+    pb_matrix = matrix_of(lambda a: pullback(f, a), f.target.dim, degree, f.source.dim, degree)
     induced = induced_map_rank(pb_matrix, v1, w1, v2, w2)
     return InjectivityReport(
         theory=theory,

@@ -189,9 +189,15 @@ def _render_group(mask: int, n: int) -> str:
 
 
 def render_form(a: KForm) -> str:
-    """Canonical text of a form: lexicographic terms, explicit signs."""
+    """Canonical text of a form: lexicographic terms, explicit signs.
+
+    A 0-form renders as its coefficient (``1``, ``-2``, ``1/2``), outside the
+    parse round-trip: the grammar reads digits as generator labels.
+    """
     if a.is_zero():
         return "0"
+    if a.degree == 0:
+        return str(a.coeffs[0])
     parts = []
     for mask, c in a.terms():
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -70,6 +70,15 @@ class ConsistencyError(RuntimeError):
     """An operator containment that must hold by theory failed; sign bug."""
 
 
+# Each group is ker A / im B in degree k; A and B are (op, offset), standing
+# for the matrix <op>_mat(k + offset).
+GROUPS = {
+    "dLambda": (("dlam", 0), ("dlam", 1)),
+    "BottChern": (("bc", 0), ("ddlam", 0)),
+    "Aeppli": (("ddlam", 0), ("sum", 0)),
+}
+
+
 class SymplecticStructure:
     """Validated closed nondegenerate invariant 2-form with derived data.
 
@@ -79,9 +88,7 @@ class SymplecticStructure:
     """
 
     def __init__(self, algebra: cec.LieAlgebra, omega: KForm):
-        bad = cec.validate(algebra)
-        if bad is not None:
-            raise ValueError(f"structure equations violate Jacobi at generator {bad}")
+        cec.require_jacobi(algebra)
         if omega.n != algebra.dim or omega.degree != 2:
             raise ValueError("omega must be a 2-form on the algebra's space")
         residual = cec.differential(algebra, omega)
@@ -175,27 +182,25 @@ class SymplecticStructure:
 
     # ---- cohomology building blocks ------------------------------------
 
+    def op_mat(self, op: str, k: int) -> RationalMatrix:
+        return getattr(self, f"{op}_mat")(k)
+
     def op_rank(self, op: str, k: int) -> int:
-        """Rank of the matrix ``<op>_mat(k)``, e.g. ``op_rank("bc", 2)``."""
-        return self._cached(("rank", op, k), lambda: rank(getattr(self, f"{op}_mat")(k)))
+        """Rank of ``op_mat(op, k)``."""
+        return self._cached(("rank", op, k), lambda: rank(self.op_mat(op, k)))
 
     def verify(self, identity: str, k: int, holds) -> None:
         """Raise ConsistencyError unless ``holds()``; each (identity, k) is checked once."""
         if not self._cached((identity, k), holds):
             raise ConsistencyError(f"{identity} fails in degree {k}")
 
-    def ker_bc(self, k: int) -> Subspace:
-        return self._cached(("ker_bc", k), lambda: kernel(self.bc_mat(k)))
-
-    def im_ddlam(self, k: int) -> Subspace:
-        return self._cached(("im_ddlam", k), lambda: column_space(self.ddlam_mat(k)))
-
-    def ker_ddlam(self, k: int) -> Subspace:
-        return self._cached(("ker_ddlam", k), lambda: kernel(self.ddlam_mat(k)))
-
-    def im_sum(self, k: int) -> Subspace:
-        """im d + im d^Lambda inside degree k."""
-        return self._cached(("im_sum", k), lambda: column_space(self.sum_mat(k)))
+    def subquotient(self, theory: str, k: int) -> tuple[Subspace, Subspace]:
+        """(ker A, im B) of ``GROUPS[theory]`` in degree k; the group is their quotient."""
+        (a, i), (b, j) = GROUPS[theory]
+        return self._cached(
+            ("subquotient", theory, k),
+            lambda: (kernel(self.op_mat(a, k + i)), column_space(self.op_mat(b, k + j))),
+        )
 
 
 def make(algebra: cec.LieAlgebra, omega: KForm) -> SymplecticStructure:
@@ -253,34 +258,31 @@ def star_d_star(s: SymplecticStructure, a: KForm) -> KForm:
 # ---- cohomology dimensions ----------------------------------------------
 
 
-def h_dlambda(s: SymplecticStructure, k: int) -> int:
-    """dim of ker d^Lambda / im d^Lambda in degree k."""
+def _group_dim(s: SymplecticStructure, theory: str, k: int) -> int:
+    """C(n,k) - rank A - rank B for ``GROUPS[theory]``; checks A B = 0 once per degree."""
     n = s.algebra.dim
     if k < 0 or k > n:
         return 0
-    return comb(n, k) - s.op_rank("dlam", k) - s.op_rank("dlam", k + 1)
+    (a, i), (b, j) = GROUPS[theory]
+    s.verify(
+        f"{theory}: im <= ker", k, lambda: (s.op_mat(a, k + i) @ s.op_mat(b, k + j)).is_zero()
+    )
+    return comb(n, k) - s.op_rank(a, k + i) - s.op_rank(b, k + j)
+
+
+def h_dlambda(s: SymplecticStructure, k: int) -> int:
+    """dim of ker d^Lambda / im d^Lambda in degree k."""
+    return _group_dim(s, "dLambda", k)
 
 
 def h_bottchern(s: SymplecticStructure, k: int) -> int:
-    """dim of (ker d ^ ker d^Lambda) / im d d^Lambda in degree k.
-
-    The containment im d d^Lambda <= ker d ^ ker d^Lambda is verified at
-    runtime; its failure would mean an operator sign bug, not bad input.
-    """
-    n = s.algebra.dim
-    if k < 0 or k > n:
-        return 0
-    s.verify("im d d^Lambda <= ker_bc", k, lambda: (s.bc_mat(k) @ s.ddlam_mat(k)).is_zero())
-    return comb(n, k) - s.op_rank("bc", k) - s.op_rank("ddlam", k)
+    """dim of (ker d ^ ker d^Lambda) / im d d^Lambda in degree k."""
+    return _group_dim(s, "BottChern", k)
 
 
 def h_aeppli(s: SymplecticStructure, k: int) -> int:
     """dim of ker d d^Lambda / (im d + im d^Lambda) in degree k."""
-    n = s.algebra.dim
-    if k < 0 or k > n:
-        return 0
-    s.verify("im_sum <= ker d d^Lambda", k, lambda: (s.ddlam_mat(k) @ s.sum_mat(k)).is_zero())
-    return comb(n, k) - s.op_rank("ddlam", k) - s.op_rank("sum", k)
+    return _group_dim(s, "Aeppli", k)
 
 
 class NaturalMaps(NamedTuple):
@@ -304,9 +306,9 @@ def natural_map_ranks(s: SymplecticStructure, k: int) -> NaturalMaps:
     if not 0 <= k <= g.dim:
         return NaturalMaps(InducedMap(0, True, True), InducedMap(0, True, True))
     # d d = 0 gives im d <= ker d, the anticommutation ker d <= ker d d^Lambda;
-    # h_bottchern and h_aeppli check the two inclusions into ker_bc and
-    # ker d d^Lambda.  ker_bc <= ker d, im d d^Lambda <= im d and
-    # im d <= im d + im d^Lambda hold by construction.
+    # h_bottchern and h_aeppli check the two inclusions into ker [d; d^Lambda]
+    # and ker d d^Lambda.  ker [d; d^Lambda] <= ker d, im d d^Lambda <= im d
+    # and im d <= im d + im d^Lambda hold by construction.
     s.verify("d d = 0", k, lambda: (g.d(k) @ g.d(k - 1)).is_zero())
     for j in (k - 1, k):
         s.verify("d d^Lambda + d^Lambda d = 0", j, lambda j=j: _anticommutes(s, j))
@@ -359,23 +361,31 @@ class CohomologyReport:
 
 
 def report(s: SymplecticStructure) -> CohomologyReport:
-    """Full cohomology table with HLC and d d^Lambda-lemma verdicts."""
+    """Full cohomology table with HLC and d d^Lambda-lemma verdicts.
+
+    Needs a unimodular algebra (b_n = 1), as the duality checks do.  HLC holds
+    exactly when the d d^Lambda-lemma does (Merkulov; Guillemin); both are checked.
+    """
     n = s.algebra.dim
     b = tuple(cec.betti(s.algebra))
+    if not b[n]:
+        raise ValueError("the algebra is not unimodular (b_n = 0): it has no compact quotient")
     h_dl = tuple(h_dlambda(s, k) for k in range(n + 1))
     h_bc = tuple(h_bottchern(s, k) for k in range(n + 1))
     h_a = tuple(h_aeppli(s, k) for k in range(n + 1))
     for k in range(n + 1):
         if h_bc[k] != h_a[k]:
-            raise ConsistencyError(
-                f"Bott-Chern/Aeppli dimensions disagree in degree {k}"
-            )
+            raise ConsistencyError(f"Bott-Chern/Aeppli dimensions disagree in degree {k}")
         if h_bc[k] != h_bc[n - k]:
             raise ConsistencyError(f"Bott-Chern duality fails in degree {k}")
     delta_tilde = tuple(h_bc[k] - b[k] for k in range(n + 1))
     delta = tuple(2 * dt for dt in delta_tilde)
     lef = tuple(lefschetz_power_map(s, j) for j in range(s.half_dim + 1))
     natural = tuple(natural_map_ranks(s, k) for k in range(n + 1))
+    hlc = all(m.injective and m.surjective for m in lef)
+    lemma = all(dt == 0 for dt in delta_tilde)
+    if hlc != lemma:
+        raise ConsistencyError("HLC and the d d^Lambda-lemma disagree")
     return CohomologyReport(
         dim=n,
         b=b,
@@ -386,6 +396,6 @@ def report(s: SymplecticStructure) -> CohomologyReport:
         delta_tilde=delta_tilde,
         lefschetz_ranks=tuple(m.rank for m in lef),
         natural_maps=natural,
-        hlc=all(m.injective and m.surjective for m in lef),
-        ddlambda_lemma=all(dt == 0 for dt in delta_tilde),
+        hlc=hlc,
+        ddlambda_lemma=lemma,
     )

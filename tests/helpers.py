@@ -11,12 +11,39 @@ SYMPLECTIC_NAMES = [
     name for name in catalog.names() if catalog.get(name).default_omega is not None
 ]
 FOUR_DIM_NAMES = [n for n in catalog.names() if catalog.get(n).algebra.dim == 4]
+# the dimension function of each group in symplectic.GROUPS
+GROUP_DIMENSIONS = {
+    "dLambda": symplectic.h_dlambda,
+    "BottChern": symplectic.h_bottchern,
+    "Aeppli": symplectic.h_aeppli,
+}
 
 
 def closed_two_forms(algebra):
     """Basis of the closed invariant 2-forms."""
     space = kernel(cec.d_matrix(algebra, 2))
     return [KForm.from_vector(algebra.dim, 2, v) for v in space.basis]
+
+
+def central_extension_algebra(n, rng):
+    """A nilpotent Lie algebra of dimension n, as iterated central extensions.
+
+    Generator i gets as differential a small integer combination of one or
+    two basis forms of the closed 2-forms on generators 1..i-1 (or zero), so
+    each step is a central extension and d d = 0 holds by construction.
+    """
+    gens = []
+    for i in range(n):
+        closed = cec.LieAlgebra(i, [KForm(i, 2, g.coeffs) for g in gens]).cycles(2)
+        coeffs = {}
+        if closed.dim and rng.random() < 0.7:
+            for row in rng.sample(closed.row_maps, min(closed.dim, rng.randint(1, 2))):
+                c = rng.choice((-2, -1, 1, 2))
+                for col, x in row.items():
+                    mask = basis_masks(i, 2)[col]
+                    coeffs[mask] = coeffs.get(mask, 0) + c * x
+        gens.append(KForm(n, 2, coeffs))
+    return cec.LieAlgebra(n, gens)
 
 
 def sample_symplectic(algebra, rng, tries=200):

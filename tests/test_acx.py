@@ -37,6 +37,11 @@ def test_validate_rejects_odd_dimension():
         acx.validate_acs(parse_salamon("(0,0,0)"), RationalMatrix.identity(3))
 
 
+def test_structure_rejects_non_jacobi_algebra():
+    with pytest.raises(ValueError, match="violate Jacobi at generator 4"):
+        acx.AlmostComplexStructure(parse_salamon("(0,0,0,12+34)"), J0)
+
+
 def test_validate_etabeta5_block_structure():
     eta = catalog.get("etabeta5")
     acx.validate_acs(eta.algebra, eta.default_j)
@@ -229,6 +234,25 @@ def test_h_j_dimension_is_quotient_dimension(acs_structures):
     zp = z.intersect(p)
     assert zp.dim == 1
     assert acx.h_j(a, 2, 0).dim == 1
+
+
+def test_pure_subquotient_is_shared_by_p_q_and_q_p(acs_structures):
+    a = acs_structures["kodaira"]
+    zp, zpb = acx.pure_subquotient(a, 2, 1)
+    assert acx.pure_subquotient(a, 1, 2) == (zp, zpb)
+    assert acx.pure_subquotient(a, 1, 2)[0] is zp
+    assert zp == a.algebra.cycles(3).intersect(acx.pure_type_subspace(a, 2, 1))
+    assert zpb == zp.intersect(a.algebra.boundaries(3))
+    assert acx.h_j(a, 1, 2).dim == zp.dim - zpb.dim
+
+
+def test_pure_subquotient_validates_before_the_cache(acs_structures):
+    a = acs_structures["torus4"]
+    acx.pure_subquotient(a, 1, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        acx.pure_subquotient(a, 3, -1)
+    with pytest.raises(ValueError, match="exceeds"):
+        acx.pure_subquotient(a, 3, 2)
 
 
 def test_session_builds_each_derivation_and_pure_type_once(monkeypatch):

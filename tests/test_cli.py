@@ -194,6 +194,17 @@ def test_max_dim_guard(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("d, omega", [("(0,12)", "12"), ("(0,12,0,0)", "12+34")])
+def test_report_non_unimodular_is_one_line_exit_1(tmp_path, capsys, d, omega):
+    doc = tmp_path / "nonunimodular.txt"
+    doc.write_text(f"d = {d}\nomega = {omega}\n")
+    code, out, err = run(capsys, "report", str(doc))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the algebra is not unimodular (b_n = 0)")
+
+
 # --- jdecomp -------------------------------------------------------------------
 
 
@@ -234,6 +245,14 @@ def test_jdecomp_with_representatives(capsys):
     )
     assert code == 0
     assert out.count("rep: ") == 1
+
+
+def test_jdecomp_representative_of_constants(capsys):
+    code, out, _ = run(
+        capsys, "jdecomp", "kodaira", "--p", "0", "--q", "0", "--with-representatives"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "rep: 1"
 
 
 def test_jdecomp_overflow_bidegree(capsys):

@@ -14,7 +14,7 @@ from helpers import (
 from sympcoh import catalog, cec, morphism, symplectic as sp
 from sympcoh.forms import KForm, wedge
 from sympcoh.linalg import RationalMatrix
-from sympcoh.parser import parse_form
+from sympcoh.parser import parse_form, parse_salamon
 
 F = Fraction
 
@@ -204,6 +204,15 @@ def test_induced_report_rejects_invalid_morphism():
     f = morphism.LieMorphism(eta, t8, RationalMatrix(rows))
     with pytest.raises(morphism.HypothesisError):
         morphism.induced_report(f, "deRham", degree=1)
+
+
+@pytest.mark.parametrize("theory", morphism.THEORIES)
+def test_induced_report_rejects_non_jacobi_algebras(theory):
+    g = parse_salamon("(0,0,0,12+34)")
+    f = identity_morphism(g)
+    with pytest.raises(ValueError, match="violate Jacobi at generator 4") as info:
+        morphism.induced_report(f, theory, degree=2, p=1, q=1)
+    assert not isinstance(info.value, morphism.HypothesisError)
 
 
 # --- instance checks of the comparison theorems -----------------------------------

@@ -151,6 +151,13 @@ def test_render_form_canonical():
     assert render_form(KForm.zero(4, 2)) == "0"
 
 
+def test_render_constants_as_their_coefficient():
+    assert render_form(KForm.constant(4, 1)) == "1"
+    assert render_form(KForm.constant(4, -2)) == "-2"
+    assert render_form(KForm.constant(4, F(1, 2))) == "1/2"
+    assert render_form(KForm.constant(4, 0)) == "0"
+
+
 def test_render_salamon_round_trip_idempotent():
     for text in ["(0,0,0,23)", "(0,0,-23,24)", "(0, 0, 1/2*12+3*13, -14)"]:
         once = render_salamon(parse_salamon(text))

@@ -4,11 +4,17 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import FOUR_DIM_NAMES, SYMPLECTIC_NAMES, random_form, sample_symplectic
+from helpers import (
+    FOUR_DIM_NAMES,
+    GROUP_DIMENSIONS,
+    SYMPLECTIC_NAMES,
+    random_form,
+    sample_symplectic,
+)
 from sympcoh import catalog, symplectic as sp
 from sympcoh.cec import betti, differential
 from sympcoh.forms import KForm, basis_masks, two_form_matrix
-from sympcoh.linalg import RationalMatrix, induced_map_rank
+from sympcoh.linalg import InducedMap, RationalMatrix, induced_map_rank
 from sympcoh.parser import parse_form, parse_salamon
 
 F = Fraction
@@ -192,8 +198,9 @@ def test_bott_chern_intersection_exceeds_image_by_five(structures):
     # on the Kodaira algebra the degree-2 double kernel is 5-dimensional and
     # the image of d d^Lambda inside it is trivial
     s = structures["kodaira"]
-    assert s.ker_bc(2).dim == 5
-    assert s.im_ddlam(2).dim == 0
+    ker_bc, im_ddlam = s.subquotient("BottChern", 2)
+    assert ker_bc.dim == 5
+    assert im_ddlam.dim == 0
 
 
 def test_aeppli_matches_bott_chern(reports):
@@ -208,14 +215,71 @@ def test_aeppli_kodaira_degree_two(structures):
 def test_aeppli_g41_denominator_dimension(structures):
     # ker(d d^Lambda) is all of degree two; the denominator has dimension 2
     s = structures["g41"]
-    assert s.ker_ddlam(2).dim == 6
-    assert s.im_sum(2).dim == 2
+    ker_ddlam, im_sum = s.subquotient("Aeppli", 2)
+    assert ker_ddlam.dim == 6
+    assert im_sum.dim == 2
     assert sp.h_aeppli(s, 2) == 4
 
 
 def test_aeppli_degree_zero_torus():
     s = sp.make(TORUS4, parse_form("12+34", 4))
     assert sp.h_aeppli(s, 0) == 1
+
+
+def test_subquotients_are_cached_and_give_the_dimensions(structures):
+    for name, s in structures.items():
+        for theory, h in GROUP_DIMENSIONS.items():
+            for k in range(s.algebra.dim + 1):
+                v, w = s.subquotient(theory, k)
+                assert s.subquotient(theory, k)[0] is v
+                assert v.contains(w), (name, theory, k)
+                assert v.dim - w.dim == h(s, k), (name, theory, k)
+
+
+# the cached factor of each composite A B, replaced by an all-ones matrix
+@pytest.mark.parametrize(
+    "theory, key", [("dLambda", ("dlam", 3)), ("BottChern", ("ddlam", 2)), ("Aeppli", ("ddlam", 2))]
+)
+def test_group_dimension_rejects_nonzero_composite(theory, key):
+    entry = catalog.get("kodaira")
+    s = sp.make(entry.algebra, entry.default_omega)
+    m = s.op_mat(*key)
+    s._cache[key] = RationalMatrix([[1] * m.cols for _ in range(m.rows)], m.rows, m.cols)
+    with pytest.raises(sp.ConsistencyError, match=f"{theory}: im <= ker fails in degree 2"):
+        GROUP_DIMENSIONS[theory](s, 2)
+
+
+def test_group_checks_and_ranks_run_once_per_degree(monkeypatch):
+    entry = catalog.get("kodaira")
+    s = sp.make(entry.algebra, entry.default_omega)
+    first = [h(s, k) for h in GROUP_DIMENSIONS.values() for k in range(5)]
+
+    def no_product(a, b):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", no_product)
+    monkeypatch.setattr(sp, "rank", no_product)
+    assert [h(s, k) for h in GROUP_DIMENSIONS.values() for k in range(5)] == first
+
+
+def test_report_rejects_non_unimodular_algebras():
+    for d, omega in (("(0,12)", "12"), ("(0,12,0,0)", "12+34")):
+        g = parse_salamon(d)
+        s = sp.make(g, parse_form(omega, g.dim))
+        assert betti(g)[g.dim] == 0
+        with pytest.raises(ValueError, match="not unimodular"):
+            sp.report(s)
+
+
+@pytest.mark.parametrize("name, bijective", [("torus4", False), ("kodaira", True)])
+def test_report_cross_checks_hlc_against_ddlambda_lemma(monkeypatch, name, bijective):
+    entry = catalog.get(name)
+    s = sp.make(entry.algebra, entry.default_omega)
+    monkeypatch.setattr(
+        sp, "lefschetz_power_map", lambda s, j: InducedMap(0, bijective, bijective)
+    )
+    with pytest.raises(sp.ConsistencyError, match="HLC and the d d\\^Lambda-lemma disagree"):
+        sp.report(s)
 
 
 # --- reports -------------------------------------------------------------------
@@ -287,8 +351,8 @@ def identity_route(s, k):
     g = s.algebra
     ident = RationalMatrix.identity(comb(g.dim, k))
     return sp.NaturalMaps(
-        induced_map_rank(ident, s.ker_bc(k), s.im_ddlam(k), g.cycles(k), g.boundaries(k)),
-        induced_map_rank(ident, g.cycles(k), g.boundaries(k), s.ker_ddlam(k), s.im_sum(k)),
+        induced_map_rank(ident, *s.subquotient("BottChern", k), g.cycles(k), g.boundaries(k)),
+        induced_map_rank(ident, g.cycles(k), g.boundaries(k), *s.subquotient("Aeppli", k)),
     )
 
 
