@@ -7,7 +7,7 @@ subspaces this module extracts, together with the dimensions of the
 de Rham classes representable by such forms.
 
 Complexification never materializes: on degree p+q the derivation extension
-D of J (``forms.derivation`` on the rows of J, one wedge slot at a time)
+D of J (``forms.derivation_map`` on the rows of J, one wedge slot at a time)
 acts with eigenvalue i(p-q) on the (p, q) component, so the real pure-type
 subspace is the rational kernel of D^2 + (p-q)^2 in every degree.  Each
 ``AlmostComplexStructure`` caches D per degree and, per degree and |p-q|,
@@ -21,7 +21,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import cec
-from .forms import KForm, derivation, matrix_of, two_form_matrix
+from .forms import KForm, derivation_map, two_form_matrix
 from .linalg import DimensionMismatch, RationalMatrix, Subspace, int_det, kernel
 
 COMPATIBLE = "compatible"
@@ -72,7 +72,7 @@ class AlmostComplexStructure:
 
         def build():
             images = [KForm(n, 1, {1 << c: x for c, x in row.items()}) for row in self.j.row_maps]
-            return matrix_of(lambda a: derivation(images, 0, a), n, k, n, k)
+            return derivation_map(images, 0, n, k)
 
         return self._cached(("derivation", k), build)
 

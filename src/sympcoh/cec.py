@@ -19,7 +19,7 @@ object; catalog entries are module-level, so theirs last the whole process.
 
 from math import comb
 
-from .forms import KForm, basis_masks, derivation, matrix_of
+from .forms import KForm, basis_masks, derivation, derivation_map, indices_from_mask
 from .linalg import DimensionMismatch, RationalMatrix, Subspace, column_space, kernel, rank
 
 
@@ -101,10 +101,27 @@ def validate(g: LieAlgebra) -> int | None:
 
 
 def require_jacobi(g: LieAlgebra) -> None:
-    """Raise ValueError, naming the generator, unless ``validate`` passes."""
+    """Raise ValueError, naming the generator and a triple, unless ``validate`` passes."""
     bad = validate(g)
     if bad is not None:
-        raise ValueError(f"structure equations violate Jacobi at generator {bad}")
+        raise ValueError(f"structure equations violate Jacobi at {jacobi_failure(g, bad)}")
+
+
+def jacobi_witness(g: LieAlgebra, m: int) -> tuple:
+    """First (i, j, k) in lexicographic order with a nonzero e^{ijk} term in d(de^m).
+
+    That coefficient is, up to sign, the e_m component of the Jacobiator
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j].  Call it only for
+    a generator ``validate`` reported.
+    """
+    mask, _ = differential(g, g.gen_differentials[m - 1]).terms()[0]
+    return indices_from_mask(mask)
+
+
+def jacobi_failure(g: LieAlgebra, m: int) -> str:
+    """'generator m (...)', naming the triple of ``jacobi_witness``."""
+    i, j, k = jacobi_witness(g, m)
+    return f"generator {m} (the Jacobiator of e_{i}, e_{j}, e_{k} has a nonzero e_{m} component)"
 
 
 def _first_unclosed(g: LieAlgebra) -> int | None:
@@ -118,7 +135,7 @@ def d_matrix(g: LieAlgebra, k: int) -> RationalMatrix:
     """Matrix of d_k : degree k -> degree k+1 in the lexicographic bases."""
     if not 0 <= k <= g.dim:
         raise ValueError(f"degree {k} out of range 0..{g.dim}")
-    return matrix_of(lambda a: differential(g, a), g.dim, k, g.dim, k + 1)
+    return derivation_map(g.gen_differentials, 1, g.dim, k)
 
 
 class BettiTable:

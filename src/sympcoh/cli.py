@@ -162,7 +162,8 @@ def _validated_algebra(doc: InputDocument) -> None:
     bad = cec.validate(doc.algebra)
     if bad is not None:
         raise InputError(
-            f"structure equations violate the Jacobi identity at generator {bad}"
+            f"structure equations violate the Jacobi identity at "
+            f"{cec.jacobi_failure(doc.algebra, bad)}"
         )
 
 
@@ -341,7 +342,7 @@ def cmd_validate(args) -> int:
         lines.append(f"algebra: ok (dim {doc.algebra.dim}, {kind})")
     else:
         ok = False
-        lines.append(f"algebra: Jacobi identity fails at generator {bad}")
+        lines.append(f"algebra: Jacobi identity fails at {cec.jacobi_failure(doc.algebra, bad)}")
     acs = None
     omega = doc.omega if bad is None else None
     if omega is not None and omega.degree != 2:

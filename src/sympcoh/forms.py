@@ -16,6 +16,11 @@ Sign conventions, fixed once and used by every operator built on top:
 The composite conventions are pinned operationally by the commutator
 identity [contraction, wedge-with-omega] = (n-k) id, which is exercised by
 the test suite for every catalog algebra.
+
+The derivation and the contraction are each written once, as a per-mask
+kernel yielding the (mask, coefficient) terms of the image of one basis
+form.  The kernel serves both the operator on forms and its matrix, which
+``mask_matrix`` writes straight into sparse rows with no form per column.
 """
 
 from fractions import Fraction
@@ -229,6 +234,34 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.n, degree, out)
 
 
+def _apply(terms_of, a: KForm) -> dict:
+    """Coefficients of the image of ``a`` under e^mask -> the terms of ``terms_of(mask)``."""
+    out: dict = {}
+    for mask, c in a.coeffs.items():
+        for m, x in terms_of(mask):
+            out[m] = out.get(m, _ZERO) + c * x
+    return out
+
+
+def mask_matrix(terms_of, n_in: int, k_in: int, n_out: int, k_out: int) -> RationalMatrix:
+    """Matrix of the linear map sending e^mask to the sum of ``terms_of(mask)``.
+
+    ``terms_of`` yields (mask, coefficient) pairs, masks possibly repeated.
+    Columns are indexed by the degree-``k_in`` basis of R^``n_in`` and rows
+    by the degree-``k_out`` basis of R^``n_out``, both in lexicographic
+    order.  This is the one loop that writes operator matrices.
+    """
+    cols = basis_masks(n_in, k_in)
+    rows = basis_masks(n_out, k_out)
+    row_index = {m: i for i, m in enumerate(rows)}
+    row_maps = [{} for _ in rows]
+    for jcol, mask in enumerate(cols):
+        for m, c in terms_of(mask):
+            row = row_maps[row_index[m]]
+            row[jcol] = row[jcol] + c if jcol in row else c
+    return RationalMatrix.from_rows(row_maps, len(rows), len(cols))
+
+
 class Bivector:
     """Antisymmetric bivector, stored by its strictly upper coefficients.
 
@@ -289,6 +322,18 @@ def poisson_bivector(omega: KForm) -> Bivector:
     return Bivector(omega.n, coeffs)
 
 
+def _contraction_terms(p: Bivector, mask: int):
+    """(mask, coefficient) terms of the contraction of e^mask; masks may repeat."""
+    for (i, j), pij in p.coeffs.items():
+        s2, m2 = _interior(j - 1, mask)
+        if s2 == 0:
+            continue
+        s1, m1 = _interior(i - 1, m2)
+        if s1 == 0:
+            continue
+        yield m1, pij if s1 == s2 else -pij
+
+
 def contract(p: Bivector, a: KForm) -> KForm:
     """Contraction sum_{i<j} P^{ij} i_{e_i} i_{e_j} a; degree drops by two.
 
@@ -298,19 +343,12 @@ def contract(p: Bivector, a: KForm) -> KForm:
         raise DimensionMismatch("bivector and form live on different spaces")
     if a.degree < 2:
         return KForm(a.n, 0)
-    out: dict = {}
-    for (i, j), pij in p.coeffs.items():
-        bi, bj = i - 1, j - 1
-        for mask, c in a.coeffs.items():
-            s2, m2 = _interior(bj, mask)
-            if s2 == 0:
-                continue
-            s1, m1 = _interior(bi, m2)
-            if s1 == 0:
-                continue
-            val = pij * c * (s1 * s2)
-            out[m1] = out.get(m1, _ZERO) + val
-    return KForm(a.n, a.degree - 2, out)
+    return KForm(a.n, a.degree - 2, _apply(lambda mask: _contraction_terms(p, mask), a))
+
+
+def contraction_map(p: Bivector, k: int) -> RationalMatrix:
+    """Matrix of ``contract(p, .)`` from degree k to degree k - 2."""
+    return mask_matrix(lambda mask: _contraction_terms(p, mask), p.n, k, p.n, k - 2)
 
 
 def pullback_along(m: RationalMatrix, a: KForm) -> KForm:
@@ -352,6 +390,29 @@ def j_action(j: RationalMatrix, a: KForm) -> KForm:
     return pullback_along(j, a)
 
 
+def _derivation_terms(images: Sequence[KForm], shift: int, mask: int):
+    """(mask, coefficient) terms of the image of e^mask under ``derivation``; masks may repeat."""
+    step = -1 if shift & 1 else 1
+    slot_sign = 1
+    rem = mask
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        image = images[low.bit_length() - 1]
+        if image.coeffs:
+            prefix = mask & (low - 1)
+            suffix = (mask ^ low) ^ prefix
+            for im, ic in image.coeffs.items():
+                s1 = merge_sign(prefix, im)
+                if s1 == 0:
+                    continue
+                s2 = merge_sign(prefix | im, suffix)
+                if s2 == 0:
+                    continue
+                yield prefix | im | suffix, ic if slot_sign * s1 * s2 > 0 else -ic
+        slot_sign *= step
+
+
 def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
     """Extension of e^i -> images[i-1] to all forms as a derivation of degree shift.
 
@@ -365,29 +426,13 @@ def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
     J from its rows, which acts with eigenvalue i(p - q) on forms of pure
     complex bidegree (p, q)).
     """
-    step = -1 if shift & 1 else 1
-    out: dict = {}
-    for mask, c in a.coeffs.items():
-        slot_sign = 1
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            image = images[low.bit_length() - 1]
-            if image.coeffs:
-                prefix = mask & (low - 1)
-                suffix = (mask ^ low) ^ prefix
-                for im, ic in image.coeffs.items():
-                    s1 = merge_sign(prefix, im)
-                    if s1 == 0:
-                        continue
-                    s2 = merge_sign(prefix | im, suffix)
-                    if s2 == 0:
-                        continue
-                    key = prefix | im | suffix
-                    out[key] = out.get(key, _ZERO) + c * ic * (slot_sign * s1 * s2)
-            slot_sign *= step
+    out = _apply(lambda mask: _derivation_terms(images, shift, mask), a)
     return KForm(a.n, a.degree + shift, out)
+
+
+def derivation_map(images: Sequence[KForm], shift: int, n: int, k: int) -> RationalMatrix:
+    """Matrix of ``derivation(images, shift, .)`` from degree k to degree k + shift on R^n."""
+    return mask_matrix(lambda mask: _derivation_terms(images, shift, mask), n, k, n, k + shift)
 
 
 def matrix_of(
@@ -397,20 +442,12 @@ def matrix_of(
     n_out: int,
     k_out: int,
 ) -> RationalMatrix:
-    """Matrix of a linear operator between graded pieces.
+    """Matrix of a linear operator on forms between graded pieces (see ``mask_matrix``)."""
 
-    Columns are indexed by the degree-``k_in`` basis of R^``n_in`` and rows
-    by the degree-``k_out`` basis of R^``n_out``, both in lexicographic
-    order.
-    """
-    cols = basis_masks(n_in, k_in)
-    rows = basis_masks(n_out, k_out)
-    row_index = {m: i for i, m in enumerate(rows)}
-    row_maps = [{} for _ in rows]
-    for jcol, mask in enumerate(cols):
+    def terms_of(mask):
         image = op(KForm(n_in, k_in, {mask: _ONE}))
         if image.coeffs and (image.degree != k_out or image.n != n_out):
             raise DimensionMismatch("operator image has unexpected grading")
-        for m, c in image.coeffs.items():
-            row_maps[row_index[m]][jcol] = c
-    return RationalMatrix.from_rows(row_maps, len(rows), len(cols))
+        return image.coeffs.items()
+
+    return mask_matrix(terms_of, n_in, k_in, n_out, k_out)

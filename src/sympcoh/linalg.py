@@ -138,6 +138,16 @@ class RationalMatrix:
             [_lincomb(row, other.row_maps) for row in self.row_maps], self.rows, other.cols
         )
 
+    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("cannot subtract matrices of different shapes")
+        out = [dict(row) for row in self.row_maps]
+        for row, sub in zip(out, other.row_maps):
+            for j, x in sub.items():
+                if y := row.pop(j, _ZERO) - x:
+                    row[j] = y
+        return RationalMatrix._of(out, self.rows, self.cols)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented

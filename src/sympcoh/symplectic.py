@@ -13,10 +13,12 @@ together with the cohomologies it cuts out of the invariant complex:
 * the Bott-Chern groups      (ker d  ^ ker d^Lambda) / im d d^Lambda,
 * the Aeppli groups          ker d d^Lambda / (im d + im d^Lambda),
 
-all per degree, all over exact rationals.  The star operator is built from
-the Poisson pairing on k-forms, so no sign convention is taken on faith: the
-test suite locks star star = id and the two expressions for d^Lambda against
-each other for every catalog structure.
+all per degree, all over exact rationals.  The matrix of d^Lambda is the
+product d Lambda - Lambda d over the algebra's cached complex.  The star
+operator is built from the Poisson pairing on k-forms, so no sign convention
+is taken on faith: the test suite locks star star = id and the two
+expressions for d^Lambda against each other, as matrices, for every catalog
+structure and for generated ones.
 
 The non-HLC degree of a structure in degree k is the gap between the
 Bott-Chern and de Rham dimensions; it vanishes in every degree exactly when
@@ -33,6 +35,7 @@ from .forms import (
     KForm,
     basis_masks,
     contract,
+    contraction_map,
     indices_from_mask,
     matrix_of,
     merge_sign,
@@ -119,13 +122,14 @@ class SymplecticStructure:
 
     # ---- cached operator matrices -------------------------------------
 
+    def lam_mat(self, k: int) -> RationalMatrix:
+        """Matrix of Lambda from degree k to degree k - 2."""
+        return self._cached(("lam", k), lambda: contraction_map(self.poisson, k))
+
     def dlam_mat(self, k: int) -> RationalMatrix:
-        n = self.algebra.dim
-        if k < 1 or k > n:
-            return RationalMatrix.zero(len(basis_masks(n, k - 1)), len(basis_masks(n, k)))
-        return self._cached(
-            ("dlam", k), lambda: matrix_of(lambda a: d_lambda(self, a), n, k, n, k - 1)
-        )
+        """Matrix of d^Lambda = d Lambda - Lambda d from degree k to degree k - 1."""
+        d, lam = self.algebra.d, self.lam_mat
+        return self._cached(("dlam", k), lambda: d(k - 2) @ lam(k) - lam(k + 1) @ d(k))
 
     def ddlam_mat(self, k: int) -> RationalMatrix:
         """Matrix of d o d^Lambda landing back in degree k."""
@@ -157,6 +161,8 @@ class SymplecticStructure:
         form with its complement only, the matrix is written down directly.
         """
         n = self.algebra.dim
+        if not 0 <= k <= n:
+            return RationalMatrix.zero(0, 0)
         masks = basis_masks(n, k)
         out_masks = basis_masks(n, n - k)
         row_index = {m: i for i, m in enumerate(out_masks)}

@@ -1,5 +1,6 @@
 """Shared test utilities: sampling, oracles, catalog automorphisms."""
 
+import random
 from fractions import Fraction
 
 from sympcoh import catalog, cec, symplectic
@@ -58,6 +59,23 @@ def sample_symplectic(algebra, rng, tries=200):
         except symplectic.DegenerateError:
             continue
     raise AssertionError("no nondegenerate closed 2-form found by sampling")
+
+
+# the seeded generated algebras: (n, seed, algebra), 32 per dimension 4..8
+PER_DIMENSION = 32
+GENERATED_ALGEBRAS = [
+    (n, seed, central_extension_algebra(n, random.Random(1000 * n + seed)))
+    for n in range(4, 9)
+    for seed in range(PER_DIMENSION)
+]
+
+
+def generated_structure(seed, g):
+    """The sampled symplectic structure of a generated algebra, or None."""
+    try:
+        return sample_symplectic(g, random.Random(seed), tries=5)
+    except AssertionError:  # no closed nondegenerate 2-form was drawn
+        return None
 
 
 def random_form(n, degree, rng, max_terms=4):

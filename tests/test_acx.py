@@ -257,17 +257,17 @@ def test_pure_subquotient_validates_before_the_cache(acs_structures):
 
 def test_session_builds_each_derivation_and_pure_type_once(monkeypatch):
     degrees, kernels = [], []
-    original_matrix_of, original_kernel = acx.matrix_of, acx.kernel
+    original_derivation_map, original_kernel = acx.derivation_map, acx.kernel
 
-    def counting_matrix_of(op, n_in, k_in, n_out, k_out):
-        degrees.append(k_in)
-        return original_matrix_of(op, n_in, k_in, n_out, k_out)
+    def counting_derivation_map(images, shift, n, k):
+        degrees.append(k)
+        return original_derivation_map(images, shift, n, k)
 
     def counting_kernel(m):
         kernels.append(m.cols)
         return original_kernel(m)
 
-    monkeypatch.setattr(acx, "matrix_of", counting_matrix_of)
+    monkeypatch.setattr(acx, "derivation_map", counting_derivation_map)
     monkeypatch.setattr(acx, "kernel", counting_kernel)
     eta = catalog.get("etabeta5")
     a = acx.AlmostComplexStructure(eta.algebra, eta.default_j)

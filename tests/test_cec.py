@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,6 +88,61 @@ def test_validate_reports_first_jacobi_failure():
     g = parse_salamon("(0,0,12,34)")
     assert validate(g) == 4
     assert differential(g, g.gen_differentials[3]) == e(4, 1, 2, 4)
+
+
+def _jacobiator_component(g, i, j, k, m):
+    """e_m component of [[e_i, e_j], e_k] + cyclic, from the brackets alone."""
+    n = g.dim
+    brackets = cec._bracket_vectors(g)
+
+    def bracket(u, v):  # u, v as {0-based index: coefficient}
+        out = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                if a == b:
+                    continue
+                sign = 1 if a < b else -1
+                for c, z in brackets.get((min(a, b), max(a, b)), {}).items():
+                    out[c] = out.get(c, 0) + sign * x * y * z
+        return out
+
+    e_ = [{a: 1} for a in range(n)]
+    x, y, z = e_[i - 1], e_[j - 1], e_[k - 1]
+    total = 0
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        total += bracket(bracket(u, v), w).get(m - 1, 0)
+    return total
+
+
+def test_jacobi_witness_names_a_triple_with_nonzero_jacobiator():
+    g = parse_salamon("(0,0,12,34)")
+    assert cec.jacobi_witness(g, 4) == (1, 2, 4)
+    assert _jacobiator_component(g, 1, 2, 4, 4) != 0
+    rng = random.Random(5)
+    failures = 0
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        g = LieAlgebra(n, [random_form(n, 2, rng, max_terms=2) for _ in range(n)])
+        m = validate(g)
+        if m is None:
+            continue
+        failures += 1
+        triple = cec.jacobi_witness(g, m)
+        assert _jacobiator_component(g, *triple, m) != 0, (g.gen_differentials, m)
+        # the first such triple in lexicographic order
+        for earlier in itertools.combinations(range(1, n + 1), 3):
+            if earlier == triple:
+                break
+            assert _jacobiator_component(g, *earlier, m) == 0, (earlier, triple)
+    assert failures >= 20
+
+
+def test_jacobi_errors_name_the_witness():
+    g = parse_salamon("(0,0,12,34)")
+    suffix = "(the Jacobiator of e_1, e_2, e_4 has a nonzero e_4 component)"
+    with pytest.raises(ValueError, match="violate Jacobi at generator 4") as info:
+        cec.require_jacobi(g)
+    assert str(info.value).endswith(suffix)
 
 
 def test_shape_validation():

@@ -429,6 +429,20 @@ def test_validate_reports_jacobi_failure(tmp_path, capsys):
     assert "generator 4" in out
 
 
+def test_jacobi_failure_names_the_triple(tmp_path, capsys):
+    doc = tmp_path / "nonlie.cfg"
+    doc.write_text("d = (0,0,12,34)\nomega = 12+34\n")
+    witness = "generator 4 (the Jacobiator of e_1, e_2, e_4 has a nonzero e_4 component)"
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 1
+    assert out.splitlines() == [f"algebra: Jacobi identity fails at {witness}"]
+    assert err == ""
+    code, out, err = run(capsys, "report", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: structure equations violate the Jacobi identity at {witness}\n"
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

@@ -7,33 +7,18 @@ group of ``symplectic.GROUPS`` and every pure-type group is also recounted by
 a second route: the subquotient spaces against the rank-only dimensions.
 """
 
-import random
 from math import comb
 
 import pytest
 
-from helpers import GROUP_DIMENSIONS, central_extension_algebra, sample_symplectic
+from helpers import GENERATED_ALGEBRAS, GROUP_DIMENSIONS, PER_DIMENSION, generated_structure
 from sympcoh import acx, catalog, cec, symplectic
 from sympcoh.linalg import rank, stack_rows
-
-PER_DIMENSION = 32
-ALGEBRAS = [
-    (n, seed, central_extension_algebra(n, random.Random(1000 * n + seed)))
-    for n in range(4, 9)
-    for seed in range(PER_DIMENSION)
-]
-
-
-def _structure(seed, g):
-    try:
-        return sample_symplectic(g, random.Random(seed), tries=5)
-    except AssertionError:  # no closed nondegenerate 2-form was drawn
-        return None
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_de_rham_duality_and_euler_characteristic(n):
-    for _, seed, g in (a for a in ALGEBRAS if a[0] == n):
+    for _, seed, g in (a for a in GENERATED_ALGEBRAS if a[0] == n):
         assert cec.validate(g) is None and cec.is_nilpotent(g), seed
         b = cec.betti(g)
         assert all(b[k] == b[n - k] for k in range(n + 1)), (seed, b)
@@ -43,8 +28,8 @@ def test_de_rham_duality_and_euler_characteristic(n):
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_symplectic_invariants_and_subquotients(n):
     found = 0
-    for _, seed, g in (a for a in ALGEBRAS if a[0] == n):
-        s = _structure(seed, g)
+    for _, seed, g in (a for a in GENERATED_ALGEBRAS if a[0] == n):
+        s = generated_structure(seed, g)
         if s is None:
             continue
         found += 1
@@ -72,7 +57,7 @@ def test_symplectic_invariants_and_subquotients(n):
 def test_pure_subquotient_matches_rank_only_count(n):
     # Z ^ P = ker [d_k; M] and Z ^ P ^ B = im d_(k-1) ^ ker M, M = D^2 + (p-q)^2
     j = catalog.standard_block_j(n)
-    for _, seed, g in (a for a in ALGEBRAS if a[0] == n):
+    for _, seed, g in (a for a in GENERATED_ALGEBRAS if a[0] == n):
         a = acx.AlmostComplexStructure(g, j)
         for k in range(n + 1):
             dm = a.derivation_matrix(k)

@@ -80,6 +80,11 @@ def test_zero_cells_are_never_stored():
     assert s.row_maps == ({2: F(5)}, {})
     assert RationalMatrix.zero(3, 4).row_maps == ({}, {}, {})
     assert (RationalMatrix([[1, 1]]) @ RationalMatrix([[1], [-1]])).row_maps == ({},)
+    a, b = RationalMatrix([[1, F(1, 2)], [0, 3]]), RationalMatrix([[1, 0], [-2, 3]])
+    assert (a - b).row_maps == ({1: F(1, 2)}, {0: F(2)})
+    assert (a - a).is_zero() and (a - a).row_maps == ({}, {})
+    with pytest.raises(DimensionMismatch):
+        a - RationalMatrix.zero(2, 3)
 
 
 def test_entries_round_trip_including_empty_shapes():
