@@ -46,7 +46,7 @@ def validate_acs(algebra: cec.LieAlgebra, j: RationalMatrix) -> None:
         raise ValueError(f"J^2 != -identity at column {min(bad) + 1}")
 
 
-class AlmostComplexStructure:
+class AlmostComplexStructure(cec.Cached):
     """A validated pair (algebra, J): Jacobi holds and J^2 = -I.
 
     The derivation matrix of each degree, and the pure-type subspace and
@@ -59,12 +59,7 @@ class AlmostComplexStructure:
         validate_acs(algebra, j)
         self.algebra = algebra
         self.j = j
-        self._cache: dict = {}
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        super().__init__()
 
     def derivation_matrix(self, k: int) -> RationalMatrix:
         """Matrix of the derivation extension of J on degree k."""

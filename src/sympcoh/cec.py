@@ -23,7 +23,21 @@ from .forms import KForm, basis_masks, derivation, derivation_map, indices_from_
 from .linalg import DimensionMismatch, RationalMatrix, Subspace, column_space, kernel, rank
 
 
-class LieAlgebra:
+class Cached:
+    """Values built on first use and kept for the object's lifetime, by key."""
+
+    __slots__ = ("_cache",)
+
+    def __init__(self):
+        self._cache: dict = {}
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+
+class LieAlgebra(Cached):
     """Dimension n plus the 2-form differential of each coframe generator.
 
     Construction checks shapes only; the Jacobi identity is a separate,
@@ -31,7 +45,7 @@ class LieAlgebra:
     equations can be diagnosed rather than rejected blindly.
     """
 
-    __slots__ = ("dim", "gen_differentials", "_cache")
+    __slots__ = ("dim", "gen_differentials")
 
     def __init__(self, dim: int, gen_differentials):
         gens = tuple(gen_differentials)
@@ -42,7 +56,7 @@ class LieAlgebra:
                 raise DimensionMismatch("generator differentials must be 2-forms on R^dim")
         self.dim = dim
         self.gen_differentials = gens
-        self._cache: dict = {}
+        super().__init__()
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -58,11 +72,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def d(self, k: int) -> RationalMatrix:
         """d_k : degree k -> degree k+1; the zero map outside degrees 0..n."""

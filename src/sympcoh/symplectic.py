@@ -82,7 +82,7 @@ GROUPS = {
 }
 
 
-class SymplecticStructure:
+class SymplecticStructure(cec.Cached):
     """Validated closed nondegenerate invariant 2-form with derived data.
 
     Matrices of the operators, their ranks and the subspaces they cut out are
@@ -112,13 +112,8 @@ class SymplecticStructure:
         full_mask = (1 << algebra.dim) - 1
         # normalized volume omega^n / n!
         self._volume_coeff = top.coeffs[full_mask] / factorial(half)
-        self._cache: dict = {}
         self._omega_powers = {0: KForm.constant(algebra.dim, 1), 1: omega}
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        super().__init__()
 
     # ---- cached operator matrices -------------------------------------
 

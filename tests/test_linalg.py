@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sympcoh import linalg
 from sympcoh.linalg import (
     ContainmentError,
     DimensionMismatch,
@@ -323,6 +324,39 @@ def test_induced_map_checks_containments():
     f = RationalMatrix([[0, 0], [1, 0]])
     with pytest.raises(ContainmentError):
         induced_map_rank(f, v, Subspace.zero(2), v, Subspace.zero(2))
+
+
+@pytest.mark.parametrize("message, f, v1, w1, v2, w2", [
+    ("W1 is not contained in V1", [[1, 0], [0, 1]], [[1, 0]], [[0, 1]], [[1, 0], [0, 1]], []),
+    ("W2 is not contained in V2", [[1, 0], [0, 1]], [[1, 0]], [], [[1, 0]], [[0, 1]]),
+    ("f does not map V1 into V2", [[0, 0], [1, 0]], [[1, 0]], [], [[1, 0]], []),
+    ("f does not map W1 into W2", [[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0]],
+     [[1, 0], [0, 1]], []),
+])
+def test_induced_map_names_each_failed_inclusion(message, f, v1, w1, v2, w2):
+    spaces = [Subspace(2, rows) for rows in (v1, w1, v2, w2)]
+    with pytest.raises(ContainmentError, match=f"^{message}$"):
+        induced_map_rank(RationalMatrix(f), *spaces)
+
+
+def test_induced_map_rank_reduces_the_images_against_leading_w2_rows(monkeypatch):
+    calls = []
+
+    def recording_rank(row_maps):
+        calls.append(tuple(row_maps))
+        return original(row_maps)
+
+    original = linalg._rank
+    monkeypatch.setattr(linalg, "_rank", recording_rank)
+    v1 = Subspace.full(3)
+    w2 = Subspace(3, [[1, 0, 0], [0, 1, 1]])
+    f = RationalMatrix([[2, 0, 1], [0, 1, 0], [0, 1, 1]])
+    res = induced_map_rank(f, v1, Subspace(3, [[1, 0, 0]]), Subspace.full(3), w2)
+    assert res.rank == 1 and not res.injective and res.surjective
+    last = calls[-1]
+    assert last[:w2.dim] == w2.row_maps
+    images = [{j: x for j, x in enumerate(f.column(i)) if x} for i in range(3)]
+    assert list(last[w2.dim:]) == images
 
 
 def test_column_space():

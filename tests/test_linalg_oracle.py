@@ -178,6 +178,30 @@ def test_intersection_and_sum_dimensions_match_sympy():
         assert sa.sum(sb).dim == joint, f"seed {seed}: sum"
         assert sa.intersect(sb).dim == sa.dim + sb.dim - joint, f"seed {seed}: intersect"
         assert sa.dim == _to_sympy(a).rank() and sb.dim == _to_sympy(b).rank()
+        zero = [[F(0)] * n]
+        ra, rb = sa.dim, sb.dim  # sympy's ranks, as asserted above
+        # (rows of S, rows of T, sympy's ranks of S, T and S + T): zero subspaces,
+        # S = T and S inside T among them
+        for case in ((a, b, ra, rb, joint), (zero, b, 0, rb, rb), (a, zero, ra, 0, ra),
+                     (zero, zero, 0, 0, 0), (a, a, ra, ra, ra), (a, a + b, ra, joint, joint)):
+            _check_intersection_and_containment(*case, f"seed {seed}")
+
+
+def _check_intersection_and_containment(a, b, ra, rb, joint, label):
+    """Subspace.intersect and contains on the spans of a and b, against sympy."""
+    n = len(a[0])
+    sa, sb = Subspace(n, a), Subspace(n, b)
+    meet = sa.intersect(sb)
+    # (x, y) in the nullspace of [a; b]^T gives x a = -y b, a vector of the meet
+    null = _to_sympy(a + b).transpose().nullspace()
+    x = null.extract(range(null.shape[0]), range(len(a)))
+    expected = [row for row in _to_fractions(x.matmul(_to_sympy(a)).rref()[0]) if any(row)]
+    assert list(meet.basis) == expected, f"{label}: intersection rows"
+    again = Subspace(n, meet.row_maps)
+    assert meet == again and meet.pivots == again.pivots, f"{label}: intersection is canonical"
+    assert sa.contains(sb) == (joint == ra), f"{label}: contains"
+    assert sb.contains(sa) == (joint == rb), f"{label}: contained"
+    assert sa.contains(meet) and sb.contains(meet), f"{label}: meet inside both"
 
 
 def test_int_det_matches_fraction_det():
