@@ -16,8 +16,6 @@ among them (``pure_subquotient``), so (p, q) and (q, p), ``h_j``,
 ``pure_full_check`` and the J pullback share one computation.
 """
 
-from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import cec
@@ -36,11 +34,12 @@ def validate_acs(algebra: cec.LieAlgebra, j: RationalMatrix) -> None:
         raise ValueError(f"almost-complex structures need even dimension, got {n}")
     if j.rows != n or j.cols != n:
         raise DimensionMismatch(f"J must be {n}x{n}")
+    square = j @ j
     bad = [
         col
-        for i, row in enumerate((j @ j).row_maps)
+        for i, row in enumerate(square.nums)
         for col in row.keys() | {i}
-        if row.get(col, 0) != (-1 if col == i else 0)
+        if row.get(col, 0) != (-square.den if col == i else 0)
     ]
     if bad:
         raise ValueError(f"J^2 != -identity at column {min(bad) + 1}")
@@ -75,16 +74,20 @@ class AlmostComplexStructure(cec.Cached):
         return f"AlmostComplexStructure(dim={self.algebra.dim})"
 
 
-def _positive_definite(sym: RationalMatrix) -> bool:
-    """Sylvester criterion: all leading principal minors strictly positive.
+def _positive_definite(m: RationalMatrix) -> bool:
+    """Whether the symmetric part (m + m^T) / 2 of a square m is positive definite.
 
-    The minors are taken of the matrix scaled by the lcm of its denominators,
-    an integer matrix; a positive scale keeps the sign of every minor.
+    Sylvester criterion: all leading principal minors strictly positive.  The
+    minors are taken of nums + nums^T, the symmetric part scaled by 2 den; a
+    positive scale keeps the sign of every minor.
     """
-    n = sym.rows
-    mult = lcm(*[x.denominator for row in sym.entries for x in row])
-    scaled = [[int(x * mult) for x in row] for row in sym.entries]
-    return all(int_det([row[:k] for row in scaled[:k]]) > 0 for k in range(1, n + 1))
+    n = m.rows
+    table = [[0] * n for _ in range(n)]
+    for i, row in enumerate(m.nums):
+        for j, x in row.items():
+            table[i][j] += x
+            table[j][i] += x
+    return all(int_det([row[:k] for row in table[:k]]) > 0 for k in range(1, n + 1))
 
 
 def compatibility(omega, acs: AlmostComplexStructure) -> str:
@@ -102,15 +105,8 @@ def compatibility(omega, acs: AlmostComplexStructure) -> str:
     if form.n != acs.algebra.dim:
         raise DimensionMismatch("2-form and J live on different spaces")
     w = two_form_matrix(form)
-    b = w @ acs.j
     invariant = (acs.j.transpose() @ w @ acs.j) == w
-    sym = RationalMatrix(
-        [
-            [(b.entries[i][j] + b.entries[j][i]) / 2 for j in range(b.cols)]
-            for i in range(b.rows)
-        ]
-    )
-    positive = _positive_definite(sym)
+    positive = _positive_definite(w @ acs.j)
     if invariant and positive:
         return COMPATIBLE
     if positive:
@@ -118,12 +114,12 @@ def compatibility(omega, acs: AlmostComplexStructure) -> str:
     return NEITHER
 
 
-def _plus_scalar(m: RationalMatrix, c: Fraction) -> RationalMatrix:
-    """m + c * identity, for a square m."""
-    rows = [dict(row) for row in m.row_maps]
+def _plus_scalar(m: RationalMatrix, c: int) -> RationalMatrix:
+    """m + c * identity, for a square m: c den joins nums on the diagonal."""
+    rows = [dict(row) for row in m.nums]
     for i, row in enumerate(rows):
-        row[i] = row.get(i, 0) + c
-    return RationalMatrix.from_rows(rows, m.rows, m.cols)
+        row[i] = row.get(i, 0) + c * m.den
+    return RationalMatrix.from_rows(rows, m.rows, m.cols, m.den)
 
 
 def pure_type_subspace(acs: AlmostComplexStructure, p: int, q: int) -> Subspace:
@@ -137,7 +133,7 @@ def pure_type_subspace(acs: AlmostComplexStructure, p: int, q: int) -> Subspace:
 
     def build():
         dm = acs.derivation_matrix(k)
-        return kernel(_plus_scalar(dm @ dm, Fraction((p - q) ** 2)))
+        return kernel(_plus_scalar(dm @ dm, (p - q) ** 2))
 
     return acs._cached(("pure", k, abs(p - q)), build)
 

@@ -53,10 +53,10 @@ def standard_block_j(n: int) -> RationalMatrix:
     """The block structure J e_(2j-1) = e_(2j), J e_(2j) = -e_(2j-1)."""
     if n % 2:
         raise ValueError("standard block structure needs even dimension")
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for j in range(0, n, 2):
-        rows[j + 1][j] = Fraction(1)
-        rows[j][j + 1] = Fraction(-1)
+        rows[j + 1][j] = 1
+        rows[j][j + 1] = -1
     return RationalMatrix(rows)
 
 

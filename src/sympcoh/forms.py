@@ -21,13 +21,16 @@ The derivation and the contraction are each written once, as a per-mask
 kernel yielding the (mask, coefficient) terms of the image of one basis
 form.  The kernel serves both the operator on forms and its matrix, which
 ``mask_matrix`` writes straight into sparse rows with no form per column.
+For a matrix the kernel runs on integer coefficients: the images of the
+generators, or the Poisson coefficients, are put over one denominator once,
+and that denominator becomes the matrix's.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import DimensionMismatch, RationalMatrix
+from .linalg import DimensionMismatch, RationalMatrix, _clear
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -243,13 +246,16 @@ def _apply(terms_of, a: KForm) -> dict:
     return out
 
 
-def mask_matrix(terms_of, n_in: int, k_in: int, n_out: int, k_out: int) -> RationalMatrix:
-    """Matrix of the linear map sending e^mask to the sum of ``terms_of(mask)``.
+def mask_matrix(
+    terms_of, n_in: int, k_in: int, n_out: int, k_out: int, den: int = 1
+) -> RationalMatrix:
+    """Matrix of the linear map sending e^mask to the sum of ``terms_of(mask)`` over ``den``.
 
-    ``terms_of`` yields (mask, coefficient) pairs, masks possibly repeated.
-    Columns are indexed by the degree-``k_in`` basis of R^``n_in`` and rows
-    by the degree-``k_out`` basis of R^``n_out``, both in lexicographic
-    order.  This is the one loop that writes operator matrices.
+    ``terms_of`` yields (mask, coefficient) pairs, masks possibly repeated;
+    integer coefficients keep the sums in ints.  Columns are indexed by the
+    degree-``k_in`` basis of R^``n_in`` and rows by the degree-``k_out``
+    basis of R^``n_out``, both in lexicographic order.  This is the one loop
+    that writes operator matrices.
     """
     cols = basis_masks(n_in, k_in)
     rows = basis_masks(n_out, k_out)
@@ -259,7 +265,7 @@ def mask_matrix(terms_of, n_in: int, k_in: int, n_out: int, k_out: int) -> Ratio
         for m, c in terms_of(mask):
             row = row_maps[row_index[m]]
             row[jcol] = row[jcol] + c if jcol in row else c
-    return RationalMatrix.from_rows(row_maps, len(rows), len(cols))
+    return RationalMatrix.from_rows(row_maps, len(rows), len(cols), den)
 
 
 class Bivector:
@@ -322,9 +328,12 @@ def poisson_bivector(omega: KForm) -> Bivector:
     return Bivector(omega.n, coeffs)
 
 
-def _contraction_terms(p: Bivector, mask: int):
-    """(mask, coefficient) terms of the contraction of e^mask; masks may repeat."""
-    for (i, j), pij in p.coeffs.items():
+def _contraction_terms(coeffs: Mapping, mask: int):
+    """(mask, coefficient) terms of the contraction of e^mask; masks may repeat.
+
+    ``coeffs`` holds the bivector's coefficients {(i, j): P^ij}.
+    """
+    for (i, j), pij in coeffs.items():
         s2, m2 = _interior(j - 1, mask)
         if s2 == 0:
             continue
@@ -343,12 +352,13 @@ def contract(p: Bivector, a: KForm) -> KForm:
         raise DimensionMismatch("bivector and form live on different spaces")
     if a.degree < 2:
         return KForm(a.n, 0)
-    return KForm(a.n, a.degree - 2, _apply(lambda mask: _contraction_terms(p, mask), a))
+    return KForm(a.n, a.degree - 2, _apply(lambda mask: _contraction_terms(p.coeffs, mask), a))
 
 
 def contraction_map(p: Bivector, k: int) -> RationalMatrix:
-    """Matrix of ``contract(p, .)`` from degree k to degree k - 2."""
-    return mask_matrix(lambda mask: _contraction_terms(p, mask), p.n, k, p.n, k - 2)
+    """Matrix of ``contract(p, .)`` from degree k to degree k - 2, over the coefficients' lcm."""
+    (coeffs,), den = _clear([p.coeffs])
+    return mask_matrix(lambda mask: _contraction_terms(coeffs, mask), p.n, k, p.n, k - 2, den)
 
 
 def pullback_along(m: RationalMatrix, a: KForm) -> KForm:
@@ -390,8 +400,11 @@ def j_action(j: RationalMatrix, a: KForm) -> KForm:
     return pullback_along(j, a)
 
 
-def _derivation_terms(images: Sequence[KForm], shift: int, mask: int):
-    """(mask, coefficient) terms of the image of e^mask under ``derivation``; masks may repeat."""
+def _derivation_terms(images: Sequence[Mapping], shift: int, mask: int):
+    """(mask, coefficient) terms of the image of e^mask under ``derivation``; masks may repeat.
+
+    ``images`` holds the coefficients of the generators' images.
+    """
     step = -1 if shift & 1 else 1
     slot_sign = 1
     rem = mask
@@ -399,10 +412,10 @@ def _derivation_terms(images: Sequence[KForm], shift: int, mask: int):
         low = rem & -rem
         rem ^= low
         image = images[low.bit_length() - 1]
-        if image.coeffs:
+        if image:
             prefix = mask & (low - 1)
             suffix = (mask ^ low) ^ prefix
-            for im, ic in image.coeffs.items():
+            for im, ic in image.items():
                 s1 = merge_sign(prefix, im)
                 if s1 == 0:
                     continue
@@ -426,13 +439,21 @@ def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
     J from its rows, which acts with eigenvalue i(p - q) on forms of pure
     complex bidegree (p, q)).
     """
-    out = _apply(lambda mask: _derivation_terms(images, shift, mask), a)
+    coeffs = [image.coeffs for image in images]
+    out = _apply(lambda mask: _derivation_terms(coeffs, shift, mask), a)
     return KForm(a.n, a.degree + shift, out)
 
 
 def derivation_map(images: Sequence[KForm], shift: int, n: int, k: int) -> RationalMatrix:
-    """Matrix of ``derivation(images, shift, .)`` from degree k to degree k + shift on R^n."""
-    return mask_matrix(lambda mask: _derivation_terms(images, shift, mask), n, k, n, k + shift)
+    """Matrix of ``derivation(images, shift, .)`` from degree k to degree k + shift on R^n.
+
+    The images are put over the lcm of their denominators once, so the
+    kernel runs on ints.
+    """
+    coeffs, den = _clear([image.coeffs for image in images])
+    return mask_matrix(
+        lambda mask: _derivation_terms(coeffs, shift, mask), n, k, n, k + shift, den
+    )
 
 
 def matrix_of(

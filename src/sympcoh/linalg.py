@@ -1,22 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Matrices and subspaces store sparse rows: a row map is a dict from column to
-a nonzero ``fractions.Fraction``.  No constructor ever stores a zero, so
-equal matrices and equal subspaces have equal row maps whatever they were
-built from.  Row maps may be shared between objects and are never modified
-in place.  The dense tables ``RationalMatrix.entries`` and ``Subspace.basis``
-are read-only views built on first use, for callers that want a full table:
-small n x n matrices, printed representatives and tests.  No floating point
-appears anywhere.
+A matrix is integers over one denominator, as in FLINT's ``fmpq_mat``:
+``RationalMatrix.nums`` holds one row map {column: nonzero int} per row and
+``RationalMatrix.den`` a positive int, the matrix being nums / den in lowest
+terms, so equal matrices have equal ``nums`` and ``den`` however they were
+built.  Products, differences and stacking work on ints alone.  A subspace
+holds the rows of its canonical reduced row echelon form as row maps
+{column: nonzero Fraction}, leading entry 1.  Row maps may be shared and are
+never modified in place.  ``RationalMatrix.row_maps`` and ``entries`` and
+``Subspace.basis`` are read-only Fraction views built on first use.  No
+floating point appears anywhere.
 
 Every rank, kernel, subspace basis, inverse, containment, intersection and
-induced-map rank comes from one elimination routine, ``_rref``.  It clears
-each row's denominators and keeps it as a sparse integer row (a dict from
-column to entry), eliminates without fractions and divides every combined row
-by the gcd of its entries, so rows stay primitive and intermediate entries
-stay small.  The echelon phase alone (``_echelon``) gives the rank; back-substitution and a final division by each leading entry
-give the reduced row echelon form.  That form is unique, so equal subspaces
-carry identical rows (leading entry 1) whatever vectors spanned them, and
+induced-map rank comes from one fraction-free elimination, ``_rref``, on
+sparse integer rows: a matrix's ``nums`` as they are (a positive scale
+changes no rank and no kernel), rows of Fractions once ``_sparse_rows`` has
+cleared their denominators.  Every combined row is divided by the gcd of its
+entries, so rows stay primitive and entries small.  The echelon phase alone
+(``_echelon``) gives the rank; back-substitution and a division by each
+leading entry give the reduced row echelon form.  That form is unique, so
+equal subspaces carry identical rows whatever vectors spanned them, and
 every derived output is reproducible byte for byte.
 """
 
@@ -47,12 +50,39 @@ def _row_map(row, width: int) -> dict:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _fraction_map(row, width: int) -> dict:
-    """The nonzero entries of a row (see ``_row_map``) as Fractions."""
-    return {
-        j: f for j, x in _row_map(row, width).items()
-        if (f := x if isinstance(x, Fraction) else Fraction(x))
-    }
+def _clear(rows) -> tuple[tuple, int]:
+    """(nums, den): rows of ints or rationals, zeros allowed, as ints over the
+    lcm of their denominators (in lowest terms)."""
+    nums = tuple({j: x for j, x in row.items() if x} for row in rows)
+    if all(type(x) is int for row in nums for x in row.values()):
+        return nums, 1
+    fracs = [{j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in row.items()}
+             for row in nums]
+    den = lcm(*{x.denominator for row in fracs for x in row.values()})
+    return tuple({j: x.numerator * (den // x.denominator) for j, x in row.items()}
+                 for row in fracs), den
+
+
+def _lowest(nums, den: int) -> tuple:
+    """nums / den in lowest terms: (nums, den) divided by the gcd of den and every entry."""
+    g = den
+    for row in nums:
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g == 1:
+        return nums, den
+    return tuple({j: x // g for j, x in row.items()} for row in nums), den // g
+
+
+def _scaled(nums, c: int) -> tuple:
+    return nums if c == 1 else tuple({j: c * x for j, x in row.items()} for row in nums)
+
+
+def _over_common_den(a: "RationalMatrix", b: "RationalMatrix") -> tuple:
+    """(nums of a, nums of b, den): both matrices written over the lcm of their denominators."""
+    den = lcm(a.den, b.den)
+    return _scaled(a.nums, den // a.den), _scaled(b.nums, den // b.den), den
 
 
 def _lincomb(coeffs: dict, row_maps: Sequence[dict]) -> dict:
@@ -65,14 +95,15 @@ def _lincomb(coeffs: dict, row_maps: Sequence[dict]) -> dict:
 
 
 class RationalMatrix:
-    """Sparse matrix of exact rationals with a fixed shape.
+    """Sparse matrix of exact rationals with a fixed shape: ``nums / den``.
 
-    ``row_maps`` holds one row map per row.  Zero-row and zero-column
-    matrices are legal; they show up naturally as operators into or out of
-    trivial graded pieces.
+    ``nums`` holds one row map {column: nonzero int} per row and ``den`` is a
+    positive int sharing no factor with every entry.  Zero-row and
+    zero-column matrices are legal; they show up naturally as operators into
+    or out of trivial graded pieces.
     """
 
-    __slots__ = ("rows", "cols", "row_maps", "_entries")
+    __slots__ = ("rows", "cols", "nums", "den", "_row_maps", "_entries")
 
     def __init__(self, entries, rows: int | None = None, cols: int | None = None):
         """From dense rows; ``rows`` and ``cols`` are checked when given."""
@@ -85,68 +116,89 @@ class RationalMatrix:
             raise DimensionMismatch("ragged or mis-sized matrix data")
         self.rows = rows
         self.cols = cols
-        self.row_maps = tuple(_fraction_map(r, cols) for r in ents)
+        self.nums, self.den = _clear([_row_map(r, cols) for r in ents])
+        self._row_maps = None
         self._entries = None
 
     @classmethod
-    def from_rows(cls, row_maps, rows: int, cols: int) -> "RationalMatrix":
-        """From one row map per row; zero values are dropped."""
+    def from_rows(cls, row_maps, rows: int, cols: int, den: int = 1) -> "RationalMatrix":
+        """The matrix row_maps / den, from one row map per row and a positive int den.
+
+        Values may be ints or rationals; zero values are dropped.
+        """
         if len(row_maps) != rows:
             raise DimensionMismatch(f"{len(row_maps)} row maps for {rows} rows")
-        return cls._of([_fraction_map(r, cols) for r in row_maps], rows, cols)
+        if den < 1:
+            raise ValueError(f"den must be a positive int, got {den}")
+        nums, mult = _clear([_row_map(r, cols) for r in row_maps])
+        return cls._of(*_lowest(nums, mult * den), rows, cols)
 
     @classmethod
-    def _of(cls, row_maps, rows: int, cols: int) -> "RationalMatrix":
-        """From row maps already holding only nonzero Fractions, unchecked."""
+    def _of(cls, nums, den: int, rows: int, cols: int) -> "RationalMatrix":
+        """From integer row maps without zeros and a den in lowest terms with them, unchecked."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.row_maps = tuple(row_maps)
+        m.nums = tuple(nums)
+        m.den = den
+        m._row_maps = None
         m._entries = None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of([{i: _ONE} for i in range(n)], n, n)
+        return cls._of([{i: 1} for i in range(n)], 1, n, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls._of([{}] * rows, rows, cols)
+        return cls._of([{}] * rows, 1, rows, cols)
+
+    @property
+    def row_maps(self) -> tuple:
+        """Read-only view, built on first use: one row map {column: nonzero Fraction} per row."""
+        if self._row_maps is None:
+            den = self.den
+            self._row_maps = tuple(
+                {j: Fraction(x, den) for j, x in row.items()} for row in self.nums
+            )
+        return self._row_maps
 
     @property
     def entries(self) -> tuple:
         """Dense view, built on first use: a tuple of rows of ``cols`` Fractions."""
         if self._entries is None:
+            den, cols = self.den, range(self.cols)
             self._entries = tuple(
-                tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.row_maps
+                tuple(Fraction(row[j], den) if j in row else _ZERO for j in cols)
+                for row in self.nums
             )
         return self._entries
 
     def transpose(self) -> "RationalMatrix":
         out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.row_maps):
+        for i, row in enumerate(self.nums):
             for j, x in row.items():
                 out[j][i] = x
-        return RationalMatrix._of(out, self.cols, self.rows)
+        return RationalMatrix._of(out, self.den, self.cols, self.rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return RationalMatrix._of(
-            [_lincomb(row, other.row_maps) for row in self.row_maps], self.rows, other.cols
-        )
+        nums = [_lincomb(row, other.nums) for row in self.nums]
+        return RationalMatrix._of(*_lowest(nums, self.den * other.den), self.rows, other.cols)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("cannot subtract matrices of different shapes")
-        out = [dict(row) for row in self.row_maps]
-        for row, sub in zip(out, other.row_maps):
+        top, bottom, den = _over_common_den(self, other)
+        out = [dict(row) for row in top]
+        for row, sub in zip(out, bottom):
             for j, x in sub.items():
-                if y := row.pop(j, _ZERO) - x:
+                if y := row.pop(j, 0) - x:
                     row[j] = y
-        return RationalMatrix._of(out, self.rows, self.cols)
+        return RationalMatrix._of(*_lowest(out, den), self.rows, self.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -154,28 +206,31 @@ class RationalMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.row_maps == other.row_maps
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.row_maps)))
+        return hash(
+            (self.rows, self.cols, self.den, tuple(frozenset(r.items()) for r in self.nums))
+        )
 
     def is_zero(self) -> bool:
-        return not any(self.row_maps)
+        return not any(self.nums)
 
     def column(self, j: int) -> tuple:
-        return tuple(row.get(j, _ZERO) for row in self.row_maps)
+        return tuple(Fraction(row[j], self.den) if j in row else _ZERO for row in self.nums)
 
     def inverse(self) -> "RationalMatrix":
-        """Row-reduce [A | I]: A is invertible when the pivots are 0..n-1."""
+        """Row-reduce [N | I] for the matrix N / den: the inverse is den N^-1."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        pivots, rows = _rref([{**row, n + i: 1} for i, row in enumerate(self.row_maps)])
+        pivots, rows = _rref([{**row, n + i: 1} for i, row in enumerate(self.nums)])
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix._of(
-            [{j - n: Fraction(x, row[c]) for j, x in row.items() if j >= n}
+        return RationalMatrix.from_rows(
+            [{j - n: Fraction(self.den * x, row[c]) for j, x in row.items() if j >= n}
              for c, row in zip(pivots, rows)],
             n, n,
         )
@@ -187,27 +242,29 @@ class RationalMatrix:
 def stack_rows(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     if top.cols != bottom.cols:
         raise DimensionMismatch("row stacking requires equal column counts")
-    return RationalMatrix._of(
-        top.row_maps + bottom.row_maps, top.rows + bottom.rows, top.cols
-    )
+    upper, lower, den = _over_common_den(top, bottom)
+    return RationalMatrix._of(upper + lower, den, top.rows + bottom.rows, top.cols)
 
 
 def concat_cols(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     if left.rows != right.rows:
         raise DimensionMismatch("column concatenation requires equal row counts")
     shift = left.cols
+    a_rows, b_rows, den = _over_common_den(left, right)
     return RationalMatrix._of(
-        [{**a, **{j + shift: x for j, x in b.items()}}
-         for a, b in zip(left.row_maps, right.row_maps)],
+        [{**a, **{j + shift: x for j, x in b.items()}} for a, b in zip(a_rows, b_rows)],
+        den,
         left.rows,
         left.cols + right.cols,
     )
 
 
 def matvec(m: RationalMatrix, v: Sequence) -> tuple:
-    """m v for a dense v, as a dense tuple; m is walked by its columns."""
-    image = _lincomb(_row_map(v, m.cols), m.transpose().row_maps)
-    return tuple(image.get(i, _ZERO) for i in range(m.rows))
+    """m v for a dense v, as a dense tuple of Fractions."""
+    vec = _row_map(v, m.cols)
+    return tuple(
+        Fraction(sum(x * vec[j] for j, x in row.items() if j in vec), m.den) for row in m.nums
+    )
 
 
 def _primitive(row: dict) -> dict:
@@ -257,9 +314,9 @@ def _echelon(rows: list) -> dict:
     return pivots
 
 
-def _rref(row_maps) -> tuple[list, list]:
-    """Pivot columns and rows of the RREF, each row not yet divided by its lead."""
-    pivots = _echelon(_sparse_rows(row_maps))
+def _rref(rows) -> tuple[list, list]:
+    """Pivot columns and rows of the RREF of integer rows, each not yet divided by its lead."""
+    pivots = _echelon(rows)
     cols = sorted(pivots)
     for k in range(len(cols) - 1, 0, -1):
         c = cols[k]
@@ -273,13 +330,13 @@ def _rref(row_maps) -> tuple[list, list]:
 
 
 def _rank(row_maps) -> int:
-    """Rank of the rows, by forward elimination in the order given."""
+    """Rank of rows of ints or Fractions, by forward elimination in the order given."""
     return len(_echelon(_sparse_rows(row_maps)))
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over the rationals: the number of pivot columns."""
-    return _rank(m.row_maps)
+    """Rank over the rationals: the number of pivot columns of the integer rows."""
+    return len(_echelon(m.nums))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -319,7 +376,7 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Sequence = ()):
         self.ambient_dim = ambient_dim
-        pivots, rows = _rref([_row_map(v, ambient_dim) for v in basis])
+        pivots, rows = _rref(_sparse_rows(_row_map(v, ambient_dim) for v in basis))
         self.pivots = tuple(pivots)
         self.row_maps = tuple(
             {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, rows)
@@ -384,10 +441,10 @@ class Subspace:
         """
         self._check_ambient(other)
         n = self.ambient_dim
-        pivots, rows = _rref(
+        pivots, rows = _rref(_sparse_rows(
             [{**v, **{j + n: x for j, x in v.items()}} for v in self.row_maps]
             + list(other.row_maps)
-        )
+        ))
         meet = [(c, row) for c, row in zip(pivots, rows) if c >= n]
         return Subspace._of(n, [c - n for c, _ in meet], [
             {j - n: Fraction(x, row[c]) for j, x in row.items()} for c, row in meet
@@ -419,7 +476,7 @@ def kernel(m: RationalMatrix) -> Subspace:
     elimination.
     """
     n = m.cols
-    pivots, rows = _rref([{n - 1 - j: x for j, x in row.items()} for row in m.row_maps])
+    pivots, rows = _rref([{n - 1 - j: x for j, x in row.items()} for row in m.nums])
     pivot_set = set(pivots)
     # free columns from the last, so the rows' leading columns n - 1 - free ascend
     vectors = {free: {n - 1 - free: _ONE} for free in range(n - 1, -1, -1)
@@ -433,8 +490,8 @@ def kernel(m: RationalMatrix) -> Subspace:
 
 
 def column_space(m: RationalMatrix) -> Subspace:
-    """Span of the columns, as a subspace of Q^rows."""
-    return Subspace(m.rows, m.transpose().row_maps)
+    """Span of the columns, as a subspace of Q^rows; den plays no part."""
+    return Subspace(m.rows, m.transpose().nums)
 
 
 class InducedMap(NamedTuple):
@@ -453,7 +510,9 @@ def induced_map_rank(
     """Rank data of the map V1/W1 -> V2/W2 induced by f.
 
     The inclusions W1 <= V1, W2 <= V2, f(V1) <= V2 and f(W1) <= W2 are all
-    verified, never assumed; a violation raises ContainmentError.
+    verified, never assumed; a violation raises ContainmentError.  f and
+    the rows of V1 and W1 enter as integer rows: positive scales change no
+    rank and no inclusion.
     """
     if f.cols != v1.ambient_dim or f.rows != v2.ambient_dim:
         raise DimensionMismatch("map shape does not match the ambient spaces")
@@ -461,11 +520,11 @@ def induced_map_rank(
         raise ContainmentError("W1 is not contained in V1")
     if not v2.contains(w2):
         raise ContainmentError("W2 is not contained in V2")
-    by_columns = f.transpose().row_maps
-    images = tuple(_lincomb(v, by_columns) for v in v1.row_maps)
+    by_columns = f.transpose().nums
+    images = tuple(_lincomb(v, by_columns) for v in _sparse_rows(v1.row_maps))
     if not v2._spans(images):
         raise ContainmentError("f does not map V1 into V2")
-    if not w2._spans(_lincomb(w, by_columns) for w in w1.row_maps):
+    if not w2._spans(_lincomb(w, by_columns) for w in _sparse_rows(w1.row_maps)):
         raise ContainmentError("f does not map W1 into W2")
     # W2's canonical rows lead, so each enters as a pivot row unchanged and only
     # the images are reduced.  With the images first, the Lefschetz maps of a

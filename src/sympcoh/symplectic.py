@@ -26,8 +26,7 @@ the hard Lefschetz maps on invariant cohomology are bijective.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from . import cec
@@ -154,6 +153,8 @@ class SymplecticStructure(cec.Cached):
         pairing on basis k-forms is the k x k minor determinant of the
         Poisson matrix.  Since wedging into the top degree pairs each basis
         form with its complement only, the matrix is written down directly.
+        The minors are taken of the Poisson matrix's integer numerators; the
+        factor den^k they carry goes into the common scale of the entries.
         """
         n = self.algebra.dim
         if not 0 <= k <= n:
@@ -161,17 +162,15 @@ class SymplecticStructure(cec.Cached):
         masks = basis_masks(n, k)
         out_masks = basis_masks(n, n - k)
         row_index = {m: i for i, m in enumerate(out_masks)}
-        p_full = self.poisson.full_matrix().entries
-        den = lcm(*(x.denominator for row in p_full for x in row)) if n else 1
-        p_int = [[int(x * den) for x in row] for row in p_full]
-        scale = Fraction(1, den**k) * self._volume_coeff
+        poisson = self.poisson.full_matrix()
+        p_int = [[row.get(j, 0) for j in range(n)] for row in poisson.nums]
+        scale = self._volume_coeff / poisson.den**k
         full_mask = (1 << n) - 1
         row_maps = [{} for _ in out_masks]
         idx = {m: [i - 1 for i in indices_from_mask(m)] for m in masks}
         for m in masks:
             comp = full_mask ^ m
-            sgn = merge_sign(m, comp)
-            factor = scale / sgn
+            factor = merge_sign(m, comp) * scale.numerator
             row = row_maps[row_index[comp]]
             rows_m = idx[m]
             for jcol, mp in enumerate(masks):
@@ -179,7 +178,9 @@ class SymplecticStructure(cec.Cached):
                 d = int_det([[p_int[a][b] for b in cols_mp] for a in rows_m])
                 if d:
                     row[jcol] = d * factor
-        return RationalMatrix.from_rows(row_maps, len(out_masks), len(masks))
+        return RationalMatrix.from_rows(
+            row_maps, len(out_masks), len(masks), scale.denominator
+        )
 
     # ---- cohomology building blocks ------------------------------------
 
@@ -293,8 +294,10 @@ class NaturalMaps(NamedTuple):
 
 def _anticommutes(s: SymplecticStructure, k: int) -> bool:
     """d d^Lambda + d^Lambda d = 0 on degree k."""
-    twisted = (s.dlam_mat(k + 1) @ s.algebra.d(k)).row_maps
-    return twisted == tuple({j: -x for j, x in row.items()} for row in s.ddlam_mat(k).row_maps)
+    twisted, ddlam = s.dlam_mat(k + 1) @ s.algebra.d(k), s.ddlam_mat(k)
+    return twisted.den == ddlam.den and twisted.nums == tuple(
+        {j: -x for j, x in row.items()} for row in ddlam.nums
+    )
 
 
 def natural_map_ranks(s: SymplecticStructure, k: int) -> NaturalMaps:

@@ -5,13 +5,23 @@ The algebras are iterated central extensions of dimensions 4 to 8 (see
 sampled symplectic form where one exists and the standard block J.  Every
 group of ``symplectic.GROUPS`` and every pure-type group is also recounted by
 a second route: the subquotient spaces against the rank-only dimensions.
+
+Dimension 10 is swept under the ``slow`` marker, outside the default run:
+``pytest -m slow``.
 """
 
+import random
 from math import comb
 
 import pytest
 
-from helpers import GENERATED_ALGEBRAS, GROUP_DIMENSIONS, PER_DIMENSION, generated_structure
+from helpers import (
+    GENERATED_ALGEBRAS,
+    GROUP_DIMENSIONS,
+    PER_DIMENSION,
+    central_extension_algebra,
+    generated_structure,
+)
 from sympcoh import acx, catalog, cec, symplectic
 from sympcoh.linalg import rank, stack_rows
 
@@ -69,3 +79,18 @@ def test_pure_subquotient_matches_rank_only_count(n):
                 assert zp.dim == comb(n, k) - rank(stack_rows(g.d(k), m)), (seed, p, q)
                 assert zpb.dim == g.rank_d(k - 1) - rank(m @ g.d(k - 1)), (seed, p, q)
                 assert acx.h_j(a, q, p).dim == zp.dim - zpb.dim, (seed, p, q)
+
+
+@pytest.mark.slow
+def test_dimension_ten_sweep():
+    n, found = 10, 0
+    for seed in range(PER_DIMENSION):
+        s = generated_structure(seed, central_extension_algebra(n, random.Random(10_000 + seed)))
+        if s is None:
+            continue
+        found += 1
+        rep = symplectic.report(s)
+        assert rep.h_aeppli == rep.h_bottchern, seed
+        assert all(rep.h_dlambda[k] == rep.b[n - k] for k in range(n + 1)), seed
+        assert rep.hlc == all(dt == 0 for dt in rep.delta_tilde), seed
+    assert found >= 8

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,10 +11,12 @@ from sympcoh.linalg import (
     RationalMatrix,
     Subspace,
     column_space,
+    concat_cols,
     induced_map_rank,
     kernel,
     matvec,
     rank,
+    stack_rows,
 )
 
 F = Fraction
@@ -109,6 +112,84 @@ def test_sparse_constructor_checks_shapes():
         RationalMatrix.from_rows([{}], 2, 3)
     with pytest.raises(DimensionMismatch):
         RationalMatrix([[1, 2], [3]])
+
+
+# --- integer rows over one denominator ---------------------------------------
+
+
+def assert_lowest_terms(m):
+    """nums holds nonzero plain ints only, den > 0 and gcd(den, every entry) = 1."""
+    values = [x for row in m.nums for x in row.values()]
+    assert all(type(x) is int and x for x in values), m.nums
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *values) == 1, (m.nums, m.den)
+
+
+def test_every_constructor_and_operation_keeps_lowest_terms():
+    a = RationalMatrix([[F(1, 2), F(1, 3)], [0, F(5, 6)]])
+    assert a.nums == ({0: 3, 1: 2}, {1: 5}) and a.den == 6
+    b = RationalMatrix.from_rows([{0: F(3, 4)}, {1: F(-1, 4)}], 2, 2)
+    assert b.nums == ({0: 3}, {1: -1}) and b.den == 4
+    half, two = RationalMatrix([[F(1, 2)]]), RationalMatrix([[2]])
+    results = [
+        a, b, a @ b, a - b, a.transpose(), stack_rows(a, b), concat_cols(a, b),
+        half @ two,  # the denominators cancel
+        RationalMatrix([[F(3, 4)]]) - RationalMatrix([[F(1, 4)]]),  # 1/2
+        RationalMatrix.from_rows([{0: 2}, {1: 4}], 2, 2, den=6),  # (1, 2) / 3
+        stack_rows(a, RationalMatrix.zero(1, 2)), concat_cols(RationalMatrix.zero(2, 1), b),
+    ]
+    for m in results:
+        assert_lowest_terms(m)
+    assert (half @ two).nums == ({0: 1},) and (half @ two).den == 1
+    assert results[8].den == 2 and results[9].nums == ({0: 1}, {1: 2}) and results[9].den == 3
+    assert (a @ b).den == 24 and (a - b).den == 12
+    assert stack_rows(a, b).den == concat_cols(a, b).den == 12
+    assert a.transpose().den == 6
+    # zero matrices of every shape, and results that vanish, have den 1
+    zeros = [RationalMatrix.zero(r, c) for r, c in ((0, 0), (0, 3), (3, 0), (2, 2))]
+    zeros += [
+        RationalMatrix([]), RationalMatrix([[0, F(0)]]), a - a, RationalMatrix.zero(0, 2) @ a,
+        RationalMatrix.from_rows([{}, {1: 0}], 2, 2, den=7),
+        stack_rows(RationalMatrix.zero(0, 2), RationalMatrix.zero(1, 2)),
+    ]
+    for z in zeros:
+        assert_lowest_terms(z)
+        assert z.den == 1 and z.is_zero()
+
+
+def test_scalings_and_routes_give_equal_matrices():
+    # [1/2, 1] built seven ways
+    target = RationalMatrix([[F(1, 2), 1]])
+    routes = [
+        RationalMatrix.from_rows([{0: F(1, 2), 1: 1}], 1, 2),
+        RationalMatrix.from_rows([{0: 1, 1: 2}], 1, 2, den=2),
+        RationalMatrix.from_rows([{0: 3, 1: 6}], 1, 2, den=6),
+        RationalMatrix([[F(2, 4), F(3, 3)]]),
+        RationalMatrix([[F(1, 2)]]) @ RationalMatrix([[1, 2]]),
+        RationalMatrix([[1, 3]]) - RationalMatrix([[F(1, 2), 2]]),
+        RationalMatrix([[F(1, 2)], [1]]).transpose(),
+    ]
+    for m in routes:
+        assert m == target and hash(m) == hash(target)
+        assert m.nums == ({0: 1, 1: 2},) and m.den == 2
+    assert RationalMatrix.from_rows([{0: 1}], 1, 1, den=2) != RationalMatrix([[1]])
+    with pytest.raises(ValueError, match="positive"):
+        RationalMatrix.from_rows([{0: 1}], 1, 1, den=0)
+
+
+def test_row_maps_is_the_fraction_view_of_nums():
+    rng = random.Random(43)
+    for _ in range(20):
+        dense = [[F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.4 else F(0)
+                  for _ in range(6)] for _ in range(4)]
+        m = RationalMatrix(dense)
+        assert_lowest_terms(m)
+        # the rows as the dense constructor used to store them
+        assert m.row_maps == tuple({j: x for j, x in enumerate(row) if x} for row in dense)
+        assert all(type(x) is F for row in m.row_maps for x in row.values())
+        assert m.row_maps == tuple(
+            {j: F(x, m.den) for j, x in row.items()} for row in m.nums
+        )
 
 
 def test_subspace_from_dense_vectors_equals_subspace_from_row_maps():

@@ -5,6 +5,7 @@ sympy is not a dependency of sympcoh; without it this module is skipped.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -131,20 +132,31 @@ def test_elimination_matches_sympy(block):
         assert all(type(x) is F for row in ker.row_maps for x in row.values()), seed
 
 
+def _lcm_of_denominators(dm):
+    return lcm(*(int(x.denominator) for row in dm.to_list() for x in row))
+
+
 def test_products_transposes_and_blocks_match_sympy():
     for seed in range(60):
         rng = random.Random(1000 + seed)
         r, k, c, extra = (rng.randint(1, 12) for _ in range(4))
         a, b = _small(rng, seed, r, k), _small(rng, seed + 1, k, c)
         below, beside = _small(rng, seed + 2, extra, k), _small(rng, seed + 3, r, extra)
+        other = _small(rng, seed + 4, r, k)
         ma, sa = RationalMatrix(a), _to_sympy(a)
-        product = RationalMatrix(a) @ RationalMatrix(b)
-        assert list(product.entries) == _to_fractions(sa.matmul(_to_sympy(b))), f"seed {seed}: @"
-        assert list(ma.transpose().entries) == _to_fractions(sa.transpose()), f"seed {seed}: T"
-        stacked = stack_rows(ma, RationalMatrix(below))
-        assert list(stacked.entries) == _to_fractions(sa.vstack(_to_sympy(below))), seed
-        joined = concat_cols(ma, RationalMatrix(beside))
-        assert list(joined.entries) == _to_fractions(sa.hstack(_to_sympy(beside))), seed
+        # (result, sympy's result): the entries agree, and den is the lcm of
+        # the denominators of sympy's entries
+        for label, m, expected in (
+            ("@", RationalMatrix(a) @ RationalMatrix(b), sa.matmul(_to_sympy(b))),
+            ("-", ma - RationalMatrix(other), sa - _to_sympy(other)),
+            ("T", ma.transpose(), sa.transpose()),
+            ("stack_rows", stack_rows(ma, RationalMatrix(below)),
+             sa.vstack(_to_sympy(below))),
+            ("concat_cols", concat_cols(ma, RationalMatrix(beside)),
+             sa.hstack(_to_sympy(beside))),
+        ):
+            assert list(m.entries) == _to_fractions(expected), f"seed {seed}: {label}"
+            assert m.den == _lcm_of_denominators(expected), f"seed {seed}: {label} den"
 
 
 def test_inverse_matches_sympy():

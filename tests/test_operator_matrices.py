@@ -12,14 +12,20 @@ alone costs about half a second a structure.
   ``wedge``, so a sign slip in the shared per-mask kernel cannot hide;
 * d^Lambda_k against (-1)^(k+1) star d star, with star built from the Poisson
   minors and not from Lambda, and rank d^Lambda_k against rank d_(n-k).
+
+The kernels run on ints over one denominator; a last test gives them
+structure constants and a Poisson bivector with denominators.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import GENERATED_ALGEBRAS, generated_structure
-from sympcoh import acx, catalog, cec
+from sympcoh import acx, catalog, cec, forms
 from sympcoh import symplectic as sp
-from sympcoh.forms import KForm, contract, derivation, matrix_of, wedge
+from sympcoh.forms import KForm, contract, derivation, indices_from_mask, matrix_of, wedge
 from sympcoh.linalg import RationalMatrix, rank
 
 
@@ -99,3 +105,56 @@ def test_generated_operator_matrices(n):
             s = generated_structure(seed, g)
             if s is not None:
                 check_symplectic(s)
+
+
+def _rescaled(g, mu):
+    """g in the coframe f^i = mu_i e^i: df^k = sum c^k_ij mu_k / (mu_i mu_j) f^ij."""
+    n = g.dim
+    gens = []
+    for k, dgen in enumerate(g.gen_differentials):
+        coeffs = {}
+        for mask, c in dgen.coeffs.items():
+            i, j = indices_from_mask(mask)
+            coeffs[mask] = c * mu[k] / (mu[i - 1] * mu[j - 1])
+        gens.append(KForm(n, 2, coeffs))
+    return cec.LieAlgebra(n, gens)
+
+
+@pytest.mark.parametrize("n", (6, 8))
+def test_kernels_emit_ints_over_one_denominator(n, monkeypatch):
+    coefficient_types = set()
+    write = forms.mask_matrix
+
+    def recording(terms_of, *args):
+        def recorded(mask):
+            for m, c in terms_of(mask):
+                coefficient_types.add(type(c))
+                yield m, c
+        return write(recorded, *args)
+
+    dens = {"d": set(), "lam": set()}
+    for _, seed, g in [a for a in GENERATED_ALGEBRAS if a[0] == n][:6]:
+        rng = random.Random(seed)
+        h = _rescaled(g, [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)])
+        assert cec.validate(h) is None, seed
+        s = generated_structure(seed, g)
+        with monkeypatch.context() as patch:  # the kernels of d and Lambda, built here
+            patch.setattr(forms, "mask_matrix", recording)
+            mats = {("d", k): h.d(k) for k in range(n + 1)}
+            if s is not None:
+                mats.update({(op, k): s.op_mat(op, k)
+                             for op in ("lam", "dlam", "ddlam") for k in range(n + 1)})
+        for key, m in mats.items():
+            assert all(type(x) is int for row in m.nums for x in row.values()), (seed, key)
+            assert type(m.den) is int and m.den > 0, (seed, key)
+            if key[0] in dens:
+                dens[key[0]].add(m.den)
+        check_complex(h)
+        if s is not None:
+            for k in range(n + 1):
+                assert s.lam_mat(k) == matrix_of(
+                    lambda a: contract(s.poisson, a), n, k, n, k - 2
+                ), (seed, k)
+    assert coefficient_types == {int}
+    # the inputs did carry denominators
+    assert max(dens["d"]) > 1 and max(dens["lam"]) > 1
