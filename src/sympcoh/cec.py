@@ -214,7 +214,7 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 
     current = Subspace.full(n)
     while current.dim:
-        nxt = Subspace(n, [ad(i, v) for i in range(n) for v in current.row_maps])
+        nxt = Subspace(n, [ad(i, v) for i in range(n) for v in current.nums])
         if nxt.dim == current.dim:
             return False
         current = nxt

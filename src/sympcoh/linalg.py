@@ -1,26 +1,24 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
 A matrix is integers over one denominator, as in FLINT's ``fmpq_mat``:
 ``RationalMatrix.nums`` holds one row map {column: nonzero int} per row and
 ``RationalMatrix.den`` a positive int, the matrix being nums / den in lowest
-terms, so equal matrices have equal ``nums`` and ``den`` however they were
-built.  Products, differences and stacking work on ints alone.  A subspace
-holds the rows of its canonical reduced row echelon form as row maps
-{column: nonzero Fraction}, leading entry 1.  Row maps may be shared and are
-never modified in place.  ``RationalMatrix.row_maps`` and ``entries`` and
-``Subspace.basis`` are read-only Fraction views built on first use.  No
-floating point appears anywhere.
+terms.  A subspace holds the rows of its canonical reduced row echelon form,
+each as its primitive integer multiple with a positive leading entry, in
+``Subspace.nums``: that multiple of an RREF row is unique, so equal matrices
+and equal subspaces carry identical ints however they were built.  Row maps
+may be shared and are never modified in place.  The ``row_maps``,
+``entries`` and ``basis`` properties are read-only Fraction views built on
+first use.  No floating point appears anywhere.
 
 Every rank, kernel, subspace basis, inverse, containment, intersection and
 induced-map rank comes from one fraction-free elimination, ``_rref``, on
-sparse integer rows: a matrix's ``nums`` as they are (a positive scale
-changes no rank and no kernel), rows of Fractions once ``_sparse_rows`` has
-cleared their denominators.  Every combined row is divided by the gcd of its
-entries, so rows stay primitive and entries small.  The echelon phase alone
-(``_echelon``) gives the rank; back-substitution and a division by each
-leading entry give the reduced row echelon form.  That form is unique, so
-equal subspaces carry identical rows whatever vectors spanned them, and
-every derived output is reproducible byte for byte.
+these integer rows as they are (a positive scale changes no rank, kernel or
+span).  Every combined row is divided by the gcd of its entries, so rows
+stay primitive and entries small.  The echelon phase alone (``_echelon``)
+gives the rank; back-substitution gives the reduced rows, each returned
+primitive with a positive lead, and every derived output is reproducible
+byte for byte.
 """
 
 from fractions import Fraction
@@ -28,7 +26,6 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -227,7 +224,7 @@ class RationalMatrix:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
         pivots, rows = _rref([{**row, n + i: 1} for i, row in enumerate(self.nums)])
-        if pivots != list(range(n)):
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return RationalMatrix.from_rows(
             [{j - n: Fraction(self.den * x, row[c]) for j, x in row.items() if j >= n}
@@ -272,20 +269,6 @@ def _primitive(row: dict) -> dict:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _sparse_rows(row_maps) -> list:
-    """Nonzero rows, denominators cleared, as primitive dicts {column: int}.
-
-    Values may be ints or Fractions; zero values are dropped.
-    """
-    out = []
-    for row in row_maps:
-        mult = lcm(*[x.denominator for x in row.values()])
-        ints = {j: y for j, x in row.items() if (y := x.numerator * (mult // x.denominator))}
-        if ints:
-            out.append(_primitive(ints))
-    return out
-
-
 def _combine(a: int, row: dict, b: int, pivot_row: dict) -> dict:
     """The primitive multiple of a * row - b * pivot_row."""
     g = gcd(a, b)
@@ -314,8 +297,8 @@ def _echelon(rows: list) -> dict:
     return pivots
 
 
-def _rref(rows) -> tuple[list, list]:
-    """Pivot columns and rows of the RREF of integer rows, each not yet divided by its lead."""
+def _rref(rows) -> tuple[tuple, tuple]:
+    """Pivot columns and rows of the RREF of integer rows, each primitive with a positive lead."""
     pivots = _echelon(rows)
     cols = sorted(pivots)
     for k in range(len(cols) - 1, 0, -1):
@@ -326,12 +309,11 @@ def _rref(rows) -> tuple[list, list]:
             b = row.get(c)
             if b:
                 pivots[above] = _combine(p[c], row, b, p)
-    return cols, [pivots[c] for c in cols]
-
-
-def _rank(row_maps) -> int:
-    """Rank of rows of ints or Fractions, by forward elimination in the order given."""
-    return len(_echelon(_sparse_rows(row_maps)))
+    out = []
+    for c in cols:
+        row = _primitive(pivots[c])
+        out.append(row if row[c] > 0 else {j: -x for j, x in row.items()})
+    return tuple(cols), tuple(out)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -366,31 +348,31 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 class Subspace:
     """Linear subspace of Q^n, stored by the rows of its canonical RREF.
 
-    ``row_maps`` holds the rows as row maps: independent by construction,
-    leading entry 1, and independent of the order or scaling of the spanning
-    vectors supplied.  ``pivots`` holds the column of each row's leading
-    entry.  The spanning vectors may be dense sequences or row maps.
+    ``nums`` holds each row as a row map {column: nonzero int}: the unique
+    primitive integer multiple of the RREF row with a positive leading
+    entry, so the rows depend only on the subspace, not on the order or
+    scaling of the spanning vectors supplied.  ``pivots`` holds the column
+    of each row's leading entry.  The spanning vectors may be dense
+    sequences or row maps, of ints or rationals.  ``row_maps`` (the RREF
+    rows as Fractions, leading entry 1) and ``basis`` (dense) are read-only
+    views built on first use.
     """
 
-    __slots__ = ("ambient_dim", "pivots", "row_maps", "_basis")
+    __slots__ = ("ambient_dim", "pivots", "nums", "_row_maps", "_basis")
 
     def __init__(self, ambient_dim: int, basis: Sequence = ()):
         self.ambient_dim = ambient_dim
-        pivots, rows = _rref(_sparse_rows(_row_map(v, ambient_dim) for v in basis))
-        self.pivots = tuple(pivots)
-        self.row_maps = tuple(
-            {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, rows)
-        )
-        self._basis = None
+        self.pivots, self.nums = _rref(_clear([_row_map(v, ambient_dim) for v in basis])[0])
+        self._row_maps = self._basis = None
 
     @classmethod
-    def _of(cls, ambient_dim: int, pivots, row_maps) -> "Subspace":
-        """From canonical RREF rows, pivots ascending and leading entries 1, unchecked."""
+    def _of(cls, ambient_dim: int, pivots, nums) -> "Subspace":
+        """From canonical rows, pivots ascending, primitive with positive leads, unchecked."""
         s = cls.__new__(cls)
         s.ambient_dim = ambient_dim
         s.pivots = tuple(pivots)
-        s.row_maps = tuple(row_maps)
-        s._basis = None
+        s.nums = tuple(nums)
+        s._row_maps = s._basis = None
         return s
 
     @classmethod
@@ -399,11 +381,21 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [{i: _ONE} for i in range(ambient_dim)])
+        return cls._of(ambient_dim, range(ambient_dim), [{i: 1} for i in range(ambient_dim)])
+
+    @property
+    def row_maps(self) -> tuple:
+        """Read-only view, built on first use: the RREF rows as {column: Fraction}, lead 1."""
+        if self._row_maps is None:
+            self._row_maps = tuple(
+                {j: Fraction(x, row[c]) for j, x in row.items()}
+                for c, row in zip(self.pivots, self.nums)
+            )
+        return self._row_maps
 
     @property
     def basis(self) -> tuple:
-        """Dense view of the rows, built on first use."""
+        """Dense view of ``row_maps``, built on first use."""
         if self._basis is None:
             self._basis = tuple(
                 tuple(row.get(j, _ZERO) for j in range(self.ambient_dim))
@@ -422,45 +414,43 @@ class Subspace:
             )
 
     def _spans(self, vecs) -> bool:
-        """Whether the row maps vecs lie in the subspace: they leave its rank as it is.
+        """Whether the integer row maps vecs lie in the subspace: they leave its rank as it is.
 
         The canonical rows go first, so only the vectors are reduced.
         """
-        return _rank(self.row_maps + tuple(vecs)) == self.dim
+        return len(_echelon([*self.nums, *vecs])) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return self._spans(other.row_maps)
+        return self._spans(other.nums)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The intersection, by Zassenhaus: one RREF of the rows (v, v) and (w, 0).
 
         With v over this subspace's rows and w over the other's, in Q^(2n), the
         rows whose pivot lies at or past column n are zero in the first half,
-        and their second halves form the canonical RREF of the intersection.
+        and their second halves form the canonical rows of the intersection.
         """
         self._check_ambient(other)
         n = self.ambient_dim
-        pivots, rows = _rref(_sparse_rows(
-            [{**v, **{j + n: x for j, x in v.items()}} for v in self.row_maps]
-            + list(other.row_maps)
-        ))
+        pivots, rows = _rref(
+            [{**v, **{j + n: x for j, x in v.items()}} for v in self.nums] + list(other.nums)
+        )
         meet = [(c, row) for c, row in zip(pivots, rows) if c >= n]
-        return Subspace._of(n, [c - n for c, _ in meet], [
-            {j - n: Fraction(x, row[c]) for j, x in row.items()} for c, row in meet
-        ])
+        return Subspace._of(n, [c - n for c, _ in meet],
+                            [{j - n: x for j, x in row.items()} for _, row in meet])
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, self.row_maps + other.row_maps)
+        return Subspace(self.ambient_dim, self.nums + other.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.row_maps == other.row_maps
+        return self.ambient_dim == other.ambient_dim and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.row_maps)))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.nums)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -470,23 +460,27 @@ def kernel(m: RationalMatrix) -> Subspace:
     """Canonical basis of the null space; its dimension is cols - rank.
 
     Eliminating with the columns reversed (column j re-keyed to n - 1 - j)
-    makes the vector read off for each free column a row of the canonical
-    basis: 1 at that column, nothing before it and 0 at every other free
-    column.  The rows become the subspace as they are, with no second
-    elimination.
+    makes the vector read off for each free column a canonical row: nothing
+    before that column and 0 at every other free column.  Scaled by the lcm
+    of the leading entries it divides by, then made primitive, it becomes
+    the subspace's row as it is, with no second elimination.
     """
     n = m.cols
     pivots, rows = _rref([{n - 1 - j: x for j, x in row.items()} for row in m.nums])
     pivot_set = set(pivots)
     # free columns from the last, so the rows' leading columns n - 1 - free ascend
-    vectors = {free: {n - 1 - free: _ONE} for free in range(n - 1, -1, -1)
-               if free not in pivot_set}
+    meets = {free: [] for free in range(n - 1, -1, -1) if free not in pivot_set}
     for p, row in zip(pivots, rows):
-        lead = row[p]
         for free, x in row.items():
             if free != p:
-                vectors[free][n - 1 - p] = Fraction(-x, lead)
-    return Subspace._of(n, [n - 1 - free for free in vectors], vectors.values())
+                meets[free].append((n - 1 - p, x, row[p]))
+    vectors = []
+    for free, terms in meets.items():
+        scale = lcm(*(lead for _, _, lead in terms))
+        vectors.append(_primitive(
+            {n - 1 - free: scale, **{j: -x * (scale // lead) for j, x, lead in terms}}
+        ))
+    return Subspace._of(n, [n - 1 - free for free in meets], vectors)
 
 
 def column_space(m: RationalMatrix) -> Subspace:
@@ -511,7 +505,7 @@ def induced_map_rank(
 
     The inclusions W1 <= V1, W2 <= V2, f(V1) <= V2 and f(W1) <= W2 are all
     verified, never assumed; a violation raises ContainmentError.  f and
-    the rows of V1 and W1 enter as integer rows: positive scales change no
+    the subspaces enter as their integer rows: positive scales change no
     rank and no inclusion.
     """
     if f.cols != v1.ambient_dim or f.rows != v2.ambient_dim:
@@ -521,16 +515,16 @@ def induced_map_rank(
     if not v2.contains(w2):
         raise ContainmentError("W2 is not contained in V2")
     by_columns = f.transpose().nums
-    images = tuple(_lincomb(v, by_columns) for v in _sparse_rows(v1.row_maps))
+    images = [_lincomb(v, by_columns) for v in v1.nums]
     if not v2._spans(images):
         raise ContainmentError("f does not map V1 into V2")
-    if not w2._spans(_lincomb(w, by_columns) for w in _sparse_rows(w1.row_maps)):
+    if not w2._spans(_lincomb(w, by_columns) for w in w1.nums):
         raise ContainmentError("f does not map W1 into W2")
     # W2's canonical rows lead, so each enters as a pivot row unchanged and only
     # the images are reduced.  With the images first, the Lefschetz maps of a
     # generated dimension-12 structure took 25 s instead of 0.36 s (Python 3.11,
     # 2 vCPUs).
-    r = _rank(w2.row_maps + images) - w2.dim
+    r = len(_echelon([*w2.nums, *images])) - w2.dim
     return InducedMap(
         rank=r,
         injective=(r == v1.dim - w1.dim),

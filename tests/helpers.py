@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from sympcoh import catalog, cec, symplectic
 from sympcoh.forms import KForm, basis_masks
@@ -122,3 +123,14 @@ def projection_to_torus8():
     t8 = catalog.get("torus8")
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(10)] for i in range(8)]
     return LieMorphism(eta.algebra, t8.algebra, RationalMatrix(rows))
+
+
+def assert_canonical_rows(s):
+    """nums: ints only, each row primitive, its lead positive at the row's pivot."""
+    assert len(s.nums) == len(s.pivots) == s.dim
+    assert list(s.pivots) == sorted(set(s.pivots))
+    for c, row in zip(s.pivots, s.nums):
+        assert all(type(x) is int and x for x in row.values()), s.nums
+        assert min(row) == c and row[c] > 0, s.nums
+        assert gcd(*row.values()) == 1, s.nums
+        assert all(p not in row for p in s.pivots if p != c), s.nums

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from helpers import assert_canonical_rows
 from sympcoh import linalg
 from sympcoh.linalg import (
     ContainmentError,
@@ -202,6 +203,55 @@ def test_subspace_from_dense_vectors_equals_subspace_from_row_maps():
     assert a.basis == ((1, 0, 0, 0), (0, 1, 0, 2))
     with pytest.raises(DimensionMismatch):
         Subspace(4, [{4: 1}])
+
+
+def test_every_subspace_route_stores_canonical_integer_rows():
+    rng = random.Random(47)
+    for _ in range(20):
+        dense = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(6)]
+                 for _ in range(rng.randint(1, 4))]
+        other = [[rng.randint(-6, 6) for _ in range(6)] for _ in range(2)]
+        a, b = Subspace(6, dense), Subspace(6, other)
+        m = RationalMatrix([[F(x, rng.randint(1, 5)) for x in row] for row in dense])
+        for s in (a, b, Subspace(6, [{j: x for j, x in enumerate(r) if x} for r in dense]),
+                  Subspace(6, [[F(x, 3) for x in row] for row in dense]), kernel(m),
+                  a.intersect(b), a.sum(b), Subspace.full(6), Subspace.zero(6),
+                  column_space(m), Subspace(6, [[0] * 6])):
+            assert_canonical_rows(s)
+
+
+def test_scalings_and_routes_give_equal_subspaces():
+    # the line spanned by (0, 2, -3)
+    target = Subspace(3, [[0, 2, -3]])
+    routes = [
+        Subspace(3, [[0, -4, 6]]),
+        Subspace(3, [[0, F(1, 3), F(-1, 2)], [0, 0, 0]]),
+        Subspace(3, [{1: F(-2, 7), 2: F(3, 7)}]),
+        kernel(RationalMatrix([[1, 0, 0], [0, F(3, 2), 1]])),
+        Subspace(3, [[1, 2, -3], [0, 2, -3]]).intersect(Subspace(3, [[0, 1, F(-3, 2)]])),
+        column_space(RationalMatrix([[0, 0], [2, F(-2, 5)], [-3, F(3, 5)]])),
+        Subspace.zero(3).sum(Subspace(3, [[0, 6, -9]])),
+    ]
+    for s in routes:
+        assert s == target and hash(s) == hash(target)
+        assert s.nums == ({1: 2, 2: -3},) and s.pivots == (1,)
+    assert Subspace.full(3) == Subspace(3, [[2, 0, 0], [1, 3, 0], [0, 1, -1]])
+    assert hash(Subspace.full(3)) == hash(Subspace(3, [[2, 0, 0], [1, 3, 0], [0, 1, -1]]))
+
+
+def test_subspace_row_maps_is_the_fraction_view_of_nums():
+    s = Subspace(4, [[0, 3, 1, 0], [2, 0, 0, 5]])
+    assert s.nums == ({0: 2, 3: 5}, {1: 3, 2: 1})
+    assert s.row_maps == ({0: F(1), 3: F(5, 2)}, {1: F(1), 2: F(1, 3)})
+    assert all(type(x) is F for row in s.row_maps for x in row.values())
+    assert s.basis == ((1, 0, 0, F(5, 2)), (0, 1, F(1, 3), 0))
+    rng = random.Random(53)
+    for _ in range(20):
+        s = Subspace(5, [[rng.randint(-5, 5) for _ in range(5)] for _ in range(3)])
+        assert s.row_maps == tuple(
+            {j: F(x, row[c]) for j, x in row.items()} for c, row in zip(s.pivots, s.nums)
+        )
+        assert all(row[c] == 1 for c, row in zip(s.pivots, s.row_maps))
 
 
 # --- inverse --------------------------------------------------------------
@@ -423,19 +473,20 @@ def test_induced_map_names_each_failed_inclusion(message, f, v1, w1, v2, w2):
 def test_induced_map_rank_reduces_the_images_against_leading_w2_rows(monkeypatch):
     calls = []
 
-    def recording_rank(row_maps):
-        calls.append(tuple(row_maps))
-        return original(row_maps)
+    def recording_echelon(rows):
+        rows = list(rows)
+        calls.append(tuple(rows))
+        return original(rows)
 
-    original = linalg._rank
-    monkeypatch.setattr(linalg, "_rank", recording_rank)
+    original = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", recording_echelon)
     v1 = Subspace.full(3)
     w2 = Subspace(3, [[1, 0, 0], [0, 1, 1]])
     f = RationalMatrix([[2, 0, 1], [0, 1, 0], [0, 1, 1]])
     res = induced_map_rank(f, v1, Subspace(3, [[1, 0, 0]]), Subspace.full(3), w2)
     assert res.rank == 1 and not res.injective and res.surjective
     last = calls[-1]
-    assert last[:w2.dim] == w2.row_maps
+    assert last[:w2.dim] == w2.nums
     images = [{j: x for j, x in enumerate(f.column(i)) if x} for i in range(3)]
     assert list(last[w2.dim:]) == images
 

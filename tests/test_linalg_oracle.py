@@ -9,6 +9,7 @@ from math import lcm
 
 import pytest
 
+from helpers import assert_canonical_rows
 from sympcoh.linalg import (
     RationalMatrix,
     Subspace,
@@ -130,6 +131,7 @@ def test_elimination_matches_sympy(block):
         again = Subspace(cols, ker.row_maps)
         assert again == ker and again.pivots == ker.pivots, f"seed {seed}: kernel rows"
         assert all(type(x) is F for row in ker.row_maps for x in row.values()), seed
+        assert_canonical_rows(ker)
 
 
 def _lcm_of_denominators(dm):
@@ -211,6 +213,7 @@ def _check_intersection_and_containment(a, b, ra, rb, joint, label):
     assert list(meet.basis) == expected, f"{label}: intersection rows"
     again = Subspace(n, meet.row_maps)
     assert meet == again and meet.pivots == again.pivots, f"{label}: intersection is canonical"
+    assert_canonical_rows(meet)
     assert sa.contains(sb) == (joint == ra), f"{label}: contains"
     assert sb.contains(sa) == (joint == rb), f"{label}: contained"
     assert sa.contains(meet) and sb.contains(meet), f"{label}: meet inside both"
