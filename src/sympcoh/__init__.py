@@ -24,7 +24,6 @@ from .acx import (
 from .catalog import CatalogEntry, complex_to_real, get, names, standard_block_j
 from .cec import BettiTable, LieAlgebra, betti, d_matrix, differential, is_nilpotent, validate
 from .forms import (
-    Bivector,
     KForm,
     basis_masks,
     contract,

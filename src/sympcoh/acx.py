@@ -65,8 +65,8 @@ class AlmostComplexStructure(cec.Cached):
         n = self.algebra.dim
 
         def build():
-            images = [KForm(n, 1, {1 << c: x for c, x in row.items()}) for row in self.j.row_maps]
-            return derivation_map(images, 0, n, k)
+            images = [{1 << c: x for c, x in row.items()} for row in self.j.nums]
+            return derivation_map(images, self.j.den, 0, n, k)
 
         return self._cached(("derivation", k), build)
 

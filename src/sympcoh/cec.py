@@ -12,15 +12,17 @@ quotient of the corresponding simply connected group.
 
 Each ``LieAlgebra`` caches its complex, built on first use through
 ``d_matrix``: ``g.d(k)``, ``g.rank_d(k)``, ``g.cycles(k)`` (ker d_k) and
-``g.boundaries(k)`` (im d_(k-1)), next to the verdict of ``validate``.  Every
-theory reads d, ker d and im d from there.  The cache lives as long as the
-object; catalog entries are module-level, so theirs last the whole process.
+``g.boundaries(k)`` (im d_(k-1)), next to the verdict of ``validate`` and
+the generator differentials put over one denominator once, as the integer
+images every d_k is written from.  Every theory reads d, ker d and im d from
+there.  The cache lives as long as the object; catalog entries are
+module-level, so theirs last the whole process.
 """
 
 from math import comb
 
 from .forms import KForm, basis_masks, derivation, derivation_map, indices_from_mask
-from .linalg import DimensionMismatch, RationalMatrix, Subspace, column_space, kernel, rank
+from .linalg import DimensionMismatch, RationalMatrix, Subspace, _clear, column_space, kernel, rank
 
 
 class Cached:
@@ -144,7 +146,8 @@ def d_matrix(g: LieAlgebra, k: int) -> RationalMatrix:
     """Matrix of d_k : degree k -> degree k+1 in the lexicographic bases."""
     if not 0 <= k <= g.dim:
         raise ValueError(f"degree {k} out of range 0..{g.dim}")
-    return derivation_map(g.gen_differentials, 1, g.dim, k)
+    images, den = g._cached("images", lambda: _clear(x.coeffs for x in g.gen_differentials))
+    return derivation_map(images, den, 1, g.dim, k)
 
 
 class BettiTable:

@@ -11,26 +11,29 @@ Sign conventions, fixed once and used by every operator built on top:
   with i > j;
 * the interior product with e_i removes the label i with sign
   (-1)^(position of i in the ascending index list - 1);
-* a bivector P contracts a k-form as  sum_{i<j} P^{ij} i_{e_i} i_{e_j}.
+* an antisymmetric (Poisson) matrix P contracts a k-form as
+  sum_{i<j} P^{ij} i_{e_i} i_{e_j}, reading only its strict upper triangle.
 
 The composite conventions are pinned operationally by the commutator
 identity [contraction, wedge-with-omega] = (n-k) id, which is exercised by
 the test suite for every catalog algebra.
 
-The derivation and the contraction are each written once, as a per-mask
-kernel yielding the (mask, coefficient) terms of the image of one basis
-form.  The kernel serves both the operator on forms and its matrix, which
-``mask_matrix`` writes straight into sparse rows with no form per column.
-For a matrix the kernel runs on integer coefficients: the images of the
-generators, or the Poisson coefficients, are put over one denominator once,
-and that denominator becomes the matrix's.
+The derivation, the contraction and the pullback are each written once, as
+a per-mask kernel yielding the (mask, coefficient) terms of the image of one
+basis form.  The kernel serves both the operator on forms and its matrix,
+which ``mask_matrix`` writes straight into sparse rows with no form per
+column.  The kernels run on integer coefficients over one denominator: the
+generator images are cleared by their owner (once per algebra), and a
+matrix (a map, J or the Poisson matrix) enters as its ``nums`` over its
+``den``.  The pullback kernel expands the k x k minors of a map's rows one
+row at a time; the symplectic star reuses it on the Poisson matrix.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import DimensionMismatch, RationalMatrix, _clear
+from .linalg import DimensionMismatch, RationalMatrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -268,97 +271,84 @@ def mask_matrix(
     return RationalMatrix.from_rows(row_maps, len(rows), len(cols), den)
 
 
-class Bivector:
-    """Antisymmetric bivector, stored by its strictly upper coefficients.
-
-    Used as the Poisson tensor inverse to a nondegenerate 2-form.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Mapping[tuple[int, int], Fraction]):
-        self.n = n
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if not (1 <= i < j <= n):
-                raise ValueError("bivector keys must satisfy 1 <= i < j <= n")
-            c = Fraction(c)
-            if c != 0:
-                clean[(i, j)] = c
-        self.coeffs = clean
-
-    def full_matrix(self) -> RationalMatrix:
-        rows = [[_ZERO] * self.n for _ in range(self.n)]
-        for (i, j), c in self.coeffs.items():
-            rows[i - 1][j - 1] = c
-            rows[j - 1][i - 1] = -c
-        return RationalMatrix(rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Bivector):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Bivector(n={self.n}, {len(self.coeffs)} terms)"
-
-
 def two_form_matrix(omega: KForm) -> RationalMatrix:
     """Antisymmetric coefficient matrix W with W[i][j] = omega(e_i, e_j)."""
     if omega.degree != 2:
         raise ValueError("expected a 2-form")
-    n = omega.n
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [{} for _ in range(omega.n)]
     for mask, c in omega.coeffs.items():
         i, j = indices_from_mask(mask)
-        rows[i - 1][j - 1] = c
-        rows[j - 1][i - 1] = -c
-    return RationalMatrix(rows)
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = c, -c
+    return RationalMatrix.from_rows(rows, omega.n, omega.n)
 
 
-def poisson_bivector(omega: KForm) -> Bivector:
-    """Inverse of a nondegenerate 2-form, as a bivector.
+def poisson_bivector(omega: KForm) -> RationalMatrix:
+    """The Poisson matrix of a nondegenerate 2-form: the inverse of ``two_form_matrix``.
 
     Raises ValueError when the coefficient matrix is singular.
     """
-    inv = two_form_matrix(omega).inverse()
-    coeffs = {
-        (i + 1, j + 1): c for i, row in enumerate(inv.row_maps) for j, c in row.items() if j > i
-    }
-    return Bivector(omega.n, coeffs)
+    return two_form_matrix(omega).inverse()
 
 
-def _contraction_terms(coeffs: Mapping, mask: int):
-    """(mask, coefficient) terms of the contraction of e^mask; masks may repeat.
+def _upper(p: RationalMatrix) -> list:
+    """(i, j, numerator of P^ij) over the strict upper triangle of a square P, 0-based."""
+    if p.rows != p.cols:
+        raise DimensionMismatch(f"the Poisson matrix must be square, got {p.rows}x{p.cols}")
+    return [(i, j, x) for i, row in enumerate(p.nums) for j, x in row.items() if j > i]
 
-    ``coeffs`` holds the bivector's coefficients {(i, j): P^ij}.
-    """
-    for (i, j), pij in coeffs.items():
-        s2, m2 = _interior(j - 1, mask)
+
+def _contraction_terms(upper: Sequence[tuple], mask: int):
+    """(mask, coefficient) terms of the contraction of e^mask by ``_upper``'s triples."""
+    for i, j, pij in upper:
+        s2, m2 = _interior(j, mask)
         if s2 == 0:
             continue
-        s1, m1 = _interior(i - 1, m2)
+        s1, m1 = _interior(i, m2)
         if s1 == 0:
             continue
         yield m1, pij if s1 == s2 else -pij
 
 
-def contract(p: Bivector, a: KForm) -> KForm:
+def contract(p: RationalMatrix, a: KForm) -> KForm:
     """Contraction sum_{i<j} P^{ij} i_{e_i} i_{e_j} a; degree drops by two.
 
     Forms of degree below two contract to the zero 0-form.
     """
-    if p.n != a.n:
-        raise DimensionMismatch("bivector and form live on different spaces")
+    if p.rows != a.n or p.cols != a.n:
+        raise DimensionMismatch("Poisson matrix and form live on different spaces")
     if a.degree < 2:
         return KForm(a.n, 0)
-    return KForm(a.n, a.degree - 2, _apply(lambda mask: _contraction_terms(p.coeffs, mask), a))
+    upper = _upper(p)
+    out = _apply(lambda mask: _contraction_terms(upper, mask), a)
+    return KForm(a.n, a.degree - 2, {m: c / p.den for m, c in out.items()})
 
 
-def contraction_map(p: Bivector, k: int) -> RationalMatrix:
-    """Matrix of ``contract(p, .)`` from degree k to degree k - 2, over the coefficients' lcm."""
-    (coeffs,), den = _clear([p.coeffs])
-    return mask_matrix(lambda mask: _contraction_terms(coeffs, mask), p.n, k, p.n, k - 2, den)
+def contraction_map(p: RationalMatrix, k: int) -> RationalMatrix:
+    """Matrix of ``contract(p, .)`` from degree k to degree k - 2, over ``p.den``."""
+    upper = _upper(p)
+    n = p.rows
+    return mask_matrix(lambda mask: _contraction_terms(upper, mask), n, k, n, k - 2, p.den)
+
+
+def _pullback_terms(rows: Sequence[Mapping], mask: int):
+    """(mask, coefficient) terms of the pullback of e^mask along the map with these rows.
+
+    Generator e^i pulls back to the row map ``rows[i-1]`` ({column c: x} for
+    x e^(c+1)).  The wedge of the rows of ``mask`` is expanded one row at a
+    time, so the coefficient of e^J is the minor det rows[I, J]; masks do
+    not repeat.
+    """
+    partial = {0: 1}
+    for i in indices_from_mask(mask):
+        nxt: dict = {}
+        for pm, pc in partial.items():
+            for col, x in rows[i - 1].items():
+                bit = 1 << col
+                if not pm & bit:
+                    term = -pc * x if (pm >> col).bit_count() & 1 else pc * x
+                    nxt[pm | bit] = nxt.get(pm | bit, 0) + term
+        partial = nxt
+    return partial.items()
 
 
 def pullback_along(m: RationalMatrix, a: KForm) -> KForm:
@@ -366,31 +356,14 @@ def pullback_along(m: RationalMatrix, a: KForm) -> KForm:
 
     The matrix sends a source space of dimension ``m.cols`` to the target
     space of dimension ``m.rows`` where ``a`` lives; each target coframe
-    generator e^i pulls back to the i-th row of the matrix.
+    generator e^i pulls back to the i-th row of the matrix.  The kernel runs
+    on ``m.nums``; a k-form picks up 1 / den^k.
     """
     if m.rows != a.n:
         raise DimensionMismatch("form does not live on the map's target space")
-    src = m.cols
-    result: dict = {}
-    for mask, c in a.coeffs.items():
-        partial = {0: c}
-        rem = mask
-        while rem and partial:
-            low = rem & -rem
-            rem ^= low
-            row = m.row_maps[low.bit_length() - 1]
-            nxt: dict = {}
-            for pm, pc in partial.items():
-                for col, v in row.items():
-                    s = merge_sign(pm, 1 << col)
-                    if s == 0:
-                        continue
-                    key = pm | (1 << col)
-                    nxt[key] = nxt.get(key, _ZERO) + pc * v * s
-            partial = nxt
-        for pm, pc in partial.items():
-            result[pm] = result.get(pm, _ZERO) + pc
-    return KForm(src, a.degree, result)
+    out = _apply(lambda mask: _pullback_terms(m.nums, mask), a)
+    scale = m.den**a.degree
+    return KForm(m.cols, a.degree, {mask: c / scale for mask, c in out.items()})
 
 
 def j_action(j: RationalMatrix, a: KForm) -> KForm:
@@ -444,15 +417,16 @@ def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
     return KForm(a.n, a.degree + shift, out)
 
 
-def derivation_map(images: Sequence[KForm], shift: int, n: int, k: int) -> RationalMatrix:
-    """Matrix of ``derivation(images, shift, .)`` from degree k to degree k + shift on R^n.
+def derivation_map(
+    images: Sequence[Mapping], den: int, shift: int, n: int, k: int
+) -> RationalMatrix:
+    """Matrix of the derivation of degree ``shift`` from degree k to degree k + shift on R^n.
 
-    The images are put over the lcm of their denominators once, so the
-    kernel runs on ints.
+    ``images`` holds the generators' images as integer coefficient maps
+    {mask: int}, over the one positive ``den``; see ``derivation``.
     """
-    coeffs, den = _clear([image.coeffs for image in images])
     return mask_matrix(
-        lambda mask: _derivation_terms(coeffs, shift, mask), n, k, n, k + shift, den
+        lambda mask: _derivation_terms(images, shift, mask), n, k, n, k + shift, den
     )
 
 

@@ -256,14 +256,6 @@ def concat_cols(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     )
 
 
-def matvec(m: RationalMatrix, v: Sequence) -> tuple:
-    """m v for a dense v, as a dense tuple of Fractions."""
-    vec = _row_map(v, m.cols)
-    return tuple(
-        Fraction(sum(x * vec[j] for j, x in row.items() if j in vec), m.den) for row in m.nums
-    )
-
-
 def _primitive(row: dict) -> dict:
     g = gcd(*row.values())
     return {j: x // g for j, x in row.items()} if g > 1 else row

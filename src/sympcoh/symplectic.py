@@ -2,7 +2,7 @@
 
 Given a closed nondegenerate invariant 2-form omega on a 2n-dimensional Lie
 algebra, this module provides the Lefschetz operator L = omega ^ ., its
-adjoint Lambda (contraction with the Poisson bivector omega^{-1}), the
+adjoint Lambda (contraction with the Poisson matrix omega^{-1}), the
 symplectic star, and the codifferential
 
     d^Lambda = d Lambda - Lambda d = (-1)^(k+1) * star d star,
@@ -15,10 +15,12 @@ together with the cohomologies it cuts out of the invariant complex:
 
 all per degree, all over exact rationals.  The matrix of d^Lambda is the
 product d Lambda - Lambda d over the algebra's cached complex.  The star
-operator is built from the Poisson pairing on k-forms, so no sign convention
-is taken on faith: the test suite locks star star = id and the two
-expressions for d^Lambda against each other, as matrices, for every catalog
-structure and for generated ones.
+operator is built from the Poisson pairing on k-forms, whose entries are the
+minors of the Poisson matrix: the pullback kernel of ``forms`` computes them,
+for the matrix and for forms alike.  No sign convention is taken on faith:
+the test suite locks star star = id and the two expressions for d^Lambda
+against each other, as matrices, for every catalog structure and for
+generated ones.
 
 The non-HLC degree of a structure in degree k is the gap between the
 Bott-Chern and de Rham dimensions; it vanishes in every degree exactly when
@@ -32,10 +34,11 @@ from typing import NamedTuple
 from . import cec
 from .forms import (
     KForm,
-    basis_masks,
+    _apply,
+    _pullback_terms,
     contract,
     contraction_map,
-    indices_from_mask,
+    mask_matrix,
     matrix_of,
     merge_sign,
     poisson_bivector,
@@ -48,9 +51,7 @@ from .linalg import (
     column_space,
     concat_cols,
     induced_map_rank,
-    int_det,
     kernel,
-    matvec,
     rank,
     stack_rows,
 )
@@ -144,43 +145,34 @@ class SymplecticStructure(cec.Cached):
         return self._omega_powers[j]
 
     def star_mat(self, k: int) -> RationalMatrix:
-        return self._cached(("star", k), lambda: self._build_star(k))
-
-    def _build_star(self, k: int) -> RationalMatrix:
-        """Matrix of the symplectic star on degree k.
-
-        Defined by beta ^ star(alpha) = <beta, alpha> omega^n/n!, where the
-        pairing on basis k-forms is the k x k minor determinant of the
-        Poisson matrix.  Since wedging into the top degree pairs each basis
-        form with its complement only, the matrix is written down directly.
-        The minors are taken of the Poisson matrix's integer numerators; the
-        factor den^k they carry goes into the common scale of the entries.
-        """
+        """Matrix of the symplectic star on degree k, written from ``_star_terms``."""
         n = self.algebra.dim
         if not 0 <= k <= n:
             return RationalMatrix.zero(0, 0)
-        masks = basis_masks(n, k)
-        out_masks = basis_masks(n, n - k)
-        row_index = {m: i for i, m in enumerate(out_masks)}
-        poisson = self.poisson.full_matrix()
-        p_int = [[row.get(j, 0) for j in range(n)] for row in poisson.nums]
-        scale = self._volume_coeff / poisson.den**k
-        full_mask = (1 << n) - 1
-        row_maps = [{} for _ in out_masks]
-        idx = {m: [i - 1 for i in indices_from_mask(m)] for m in masks}
-        for m in masks:
-            comp = full_mask ^ m
-            factor = merge_sign(m, comp) * scale.numerator
-            row = row_maps[row_index[comp]]
-            rows_m = idx[m]
-            for jcol, mp in enumerate(masks):
-                cols_mp = idx[mp]
-                d = int_det([[p_int[a][b] for b in cols_mp] for a in rows_m])
-                if d:
-                    row[jcol] = d * factor
-        return RationalMatrix.from_rows(
-            row_maps, len(out_masks), len(masks), scale.denominator
-        )
+        terms_of, den = self._star_terms(k)
+        return self._cached(("star", k), lambda: mask_matrix(terms_of, n, k, n, n - k, den))
+
+    def _star_terms(self, k: int):
+        """(terms_of, den): the per-mask kernel of star on degree k, over den.
+
+        Star is defined by beta ^ star(alpha) = <beta, alpha> omega^n/n!, the
+        pairing of basis k-forms e^J, e^I being the Poisson minor det P[J, I].
+        Wedging into the top degree pairs e^J with its complement only, so
+        star e^I = sum_J sign(J, ~J) det P[J, I] vol e^~J.  The pullback of
+        e^I along P's rows has e^J coefficient det P[I, J] = (-1)^k det P[J, I]
+        (P is antisymmetric): star is that pullback, taken on the integer
+        numerators of P, with each e^J sent to e^~J.  The factor den^k of the
+        minors, the sign and the volume coefficient make one common scale.
+        """
+        full = (1 << self.algebra.dim) - 1
+        p = self.poisson
+        scale = (-1) ** k * self._volume_coeff / p.den**k
+
+        def terms_of(mask):
+            for m, x in _pullback_terms(p.nums, mask):
+                yield full ^ m, merge_sign(m, full ^ m) * scale.numerator * x
+
+        return terms_of, scale.denominator
 
     # ---- cohomology building blocks ------------------------------------
 
@@ -219,7 +211,7 @@ def lefschetz(s: SymplecticStructure, a: KForm) -> KForm:
 
 
 def dual_lefschetz(s: SymplecticStructure, a: KForm) -> KForm:
-    """Lambda(a): contraction with the Poisson bivector; degree drops by 2."""
+    """Lambda(a): contraction with the Poisson matrix; degree drops by 2."""
     return contract(s.poisson, a)
 
 
@@ -242,9 +234,8 @@ def star(s: SymplecticStructure, a: KForm) -> KForm:
     n = s.algebra.dim
     if a.n != n:
         raise ValueError("form does not live on the structure's space")
-    k = a.degree
-    vec = matvec(s.star_mat(k), a.to_vector())
-    return KForm.from_vector(n, n - k, vec)
+    terms_of, den = s._star_terms(a.degree)
+    return KForm(n, n - a.degree, {m: c / den for m, c in _apply(terms_of, a).items()})
 
 
 def star_d_star(s: SymplecticStructure, a: KForm) -> KForm:

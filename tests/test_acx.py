@@ -259,9 +259,9 @@ def test_session_builds_each_derivation_and_pure_type_once(monkeypatch):
     degrees, kernels = [], []
     original_derivation_map, original_kernel = acx.derivation_map, acx.kernel
 
-    def counting_derivation_map(images, shift, n, k):
+    def counting_derivation_map(images, den, shift, n, k):
         degrees.append(k)
-        return original_derivation_map(images, shift, n, k)
+        return original_derivation_map(images, den, shift, n, k)
 
     def counting_kernel(m):
         kernels.append(m.cols)

@@ -221,6 +221,23 @@ def test_session_builds_each_d_matrix_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 11 + 2
 
 
+def test_generator_images_are_cleared_once_per_algebra(monkeypatch):
+    calls = []
+    original = cec._clear
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(cec, "_clear", counting)
+    # de^3 = 1/2 e^12 and de^4 = 1/3 e^13: the images carry denominators
+    g = LieAlgebra(4, [KForm.zero(4, 2), KForm.zero(4, 2), e(4, 1, 2) * F(1, 2), e(4, 1, 3) * F(1, 3)])
+    for k in range(g.dim + 1):
+        assert d_matrix(g, k) == g.d(k)
+    assert g.d(1).den == 6
+    assert len(calls) == 1
+
+
 def test_warm_cache_leaves_equality_and_hash_alone():
     text = render_salamon(catalog.get("g41").algebra)
     warm, cold = parse_salamon(text), parse_salamon(text)

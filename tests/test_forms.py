@@ -6,19 +6,20 @@ import pytest
 from helpers import random_form
 from sympcoh import catalog
 from sympcoh.forms import (
-    Bivector,
     KForm,
     basis_masks,
     contract,
+    contraction_map,
     indices_from_mask,
     j_action,
     mask_from_indices,
     merge_sign,
     poisson_bivector,
+    pullback_along,
     two_form_matrix,
     wedge,
 )
-from sympcoh.linalg import DimensionMismatch, RationalMatrix
+from sympcoh.linalg import DimensionMismatch, RationalMatrix, int_det
 
 F = Fraction
 
@@ -117,7 +118,7 @@ def test_contract_skew_term():
 def test_poisson_inverts_coefficient_matrix():
     omega = e(4, 1, 2) + 3 * e(4, 3, 4) + e(4, 1, 4)
     p = poisson_bivector(omega)
-    prod = p.full_matrix() @ two_form_matrix(omega)
+    prod = p @ two_form_matrix(omega)
     assert prod == RationalMatrix.identity(4)
 
 
@@ -126,11 +127,15 @@ def test_poisson_rejects_degenerate():
         poisson_bivector(e(4, 1, 2))
 
 
-def test_bivector_key_validation():
-    with pytest.raises(ValueError):
-        Bivector(4, {(2, 2): F(1)})
-    with pytest.raises(ValueError):
-        Bivector(4, {(3, 1): F(1)})
+def test_contraction_rejects_wrong_shape():
+    p = poisson_bivector(e(4, 1, 2) + e(4, 3, 4))
+    with pytest.raises(DimensionMismatch):
+        contract(p, e(6, 1, 2))
+    for wrong in (RationalMatrix.zero(4, 6), RationalMatrix.zero(6, 4)):
+        with pytest.raises(DimensionMismatch):
+            contract(wrong, e(4, 1, 2))
+        with pytest.raises(DimensionMismatch):
+            contraction_map(wrong, 2)
 
 
 def test_commutator_identity_on_catalog_algebras():
@@ -177,6 +182,70 @@ def test_j_action_involution_on_two_forms():
     for _ in range(10):
         a = random_form(4, 2, rng)
         assert j_action(J0, j_action(J0, a)) == a
+
+
+# --- pullback kernel ----------------------------------------------------------
+
+# (rows, cols) of the maps: square and non-square, up to 6 x 6
+SHAPES = [(1, 1), (2, 3), (3, 2), (4, 4), (3, 5), (5, 3), (2, 6), (6, 4), (6, 6)]
+
+
+def _random_map(rng, rows, cols, rational):
+    """Seeded small entries, integer or rational, with the first row repeated at the end."""
+    table = [
+        [F(rng.randint(-3, 3), rng.randint(1, 4) if rational else 1) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows > 1:
+        table[-1] = list(table[0])
+    return table
+
+
+def _minor_oracle(rational):
+    """det M[I, J] of a dense table: int_det on integer tables, sympy on rational ones."""
+    if not rational:
+        return lambda table, rows, cols: int_det([[int(table[i][j]) for j in cols] for i in rows])
+    qq = pytest.importorskip("sympy").QQ
+    domain_matrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+
+    def det(table, rows, cols):
+        entries = [[qq(table[i][j].numerator, table[i][j].denominator) for j in cols] for i in rows]
+        value = domain_matrix(entries, (len(rows), len(cols)), qq).det()
+        return F(int(value.numerator), int(value.denominator))
+
+    return det
+
+
+@pytest.mark.parametrize("rational", (False, True))
+def test_pullback_coefficients_are_minors(rational):
+    det = _minor_oracle(rational)
+    rng = random.Random(31 + rational)
+    for rows, cols in SHAPES:
+        table = _random_map(rng, rows, cols, rational)
+        m = RationalMatrix(table)
+        for k in range(min(rows, cols) + 1):
+            for mask in basis_masks(rows, k):
+                image = pullback_along(m, KForm(rows, k, {mask: 1}))
+                assert image.n == cols and (image.degree == k or image.is_zero())
+                idx = [i - 1 for i in indices_from_mask(mask)]
+                for target in basis_masks(cols, k):
+                    jdx = [j - 1 for j in indices_from_mask(target)]
+                    expected = det(table, idx, jdx)
+                    assert image.coeffs.get(target, 0) == expected, (rows, cols, mask, target)
+                    if rows > 1 and {0, rows - 1} <= set(idx):
+                        assert expected == 0  # the repeated row
+
+
+@pytest.mark.parametrize("rational", (False, True))
+def test_pullback_reverses_composition(rational):
+    rng = random.Random(47 + rational)
+    for rows, cols in SHAPES:
+        middle = rng.randint(1, 6)
+        f = RationalMatrix(_random_map(rng, rows, middle, rational))
+        g = RationalMatrix(_random_map(rng, middle, cols, rational))
+        for k in range(rows + 1):
+            a = random_form(rows, k, rng)
+            assert pullback_along(g, pullback_along(f, a)) == pullback_along(f @ g, a), (rows, k)
 
 
 def test_kform_vector_roundtrip():

@@ -1,32 +1,44 @@
 """Operator matrices written from bitmasks, against routes that build no matrix natively.
 
-``d_matrix``, ``derivation_matrix``, ``lam_mat`` and ``dlam_mat`` are checked,
-in every degree from -1 to n+1 (zero-shaped matrices included), on every
-catalog structure and on the generated algebras of dimensions 4 to 7 (see
-``helpers.GENERATED_ALGEBRAS``).  The generated dimension-8 structures are
-left out: their sampled omega is dense, so star is dense and the star route
-alone costs about half a second a structure.
+``d_matrix``, ``derivation_matrix``, ``lam_mat``, ``dlam_mat`` and ``star_mat``
+are checked, in every degree from -1 to n+1 (zero-shaped matrices included),
+on every catalog structure and on the generated algebras of dimensions 4 to 8
+(see ``helpers.GENERATED_ALGEBRAS``).  Of the 24 sampled dimension-8
+structures the first 6 run by default and all of them under the ``slow``
+marker (``pytest -m slow``):
 
 * against ``matrix_of`` over the operators on forms;
 * d and the J derivation also against a Leibniz-rule oracle that knows only
   ``wedge``, so a sign slip in the shared per-mask kernel cannot hide;
 * d^Lambda_k against (-1)^(k+1) star d star, with star built from the Poisson
-  minors and not from Lambda, and rank d^Lambda_k against rank d_(n-k).
+  minors and not from Lambda, and rank d^Lambda_k against rank d_(n-k);
+* star, written by the pullback kernel, against the entry-by-entry minor
+  formula on the catalog and on the generated dimensions 4 to 6.
 
 The kernels run on ints over one denominator; a last test gives them
-structure constants and a Poisson bivector with denominators.
+structure constants and a Poisson matrix with denominators.
 """
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from helpers import GENERATED_ALGEBRAS, generated_structure
 from sympcoh import acx, catalog, cec, forms
 from sympcoh import symplectic as sp
-from sympcoh.forms import KForm, contract, derivation, indices_from_mask, matrix_of, wedge
-from sympcoh.linalg import RationalMatrix, rank
+from sympcoh.forms import (
+    KForm,
+    basis_masks,
+    contract,
+    derivation,
+    indices_from_mask,
+    matrix_of,
+    merge_sign,
+    wedge,
+)
+from sympcoh.linalg import RationalMatrix, int_det, rank
 
 
 def _leibniz_images(images, shift, n):
@@ -105,6 +117,65 @@ def test_generated_operator_matrices(n):
             s = generated_structure(seed, g)
             if s is not None:
                 check_symplectic(s)
+
+
+# the sampled symplectic structures of the generated dimension-8 algebras
+DIMENSION_EIGHT = [
+    s for s in (generated_structure(seed, g) for n, seed, g in GENERATED_ALGEBRAS if n == 8)
+    if s is not None
+]
+
+
+def test_dimension_eight_operator_matrices():
+    for s in DIMENSION_EIGHT[:6]:
+        check_symplectic(s)
+
+
+@pytest.mark.slow
+def test_dimension_eight_operator_matrices_all():
+    assert len(DIMENSION_EIGHT) == 24
+    for s in DIMENSION_EIGHT:
+        check_symplectic(s)
+
+
+def _star_by_minors(s, k):
+    """Star on degree k entry by entry: row ~I, column J holds sign(I, ~I) det P[I, J] vol.
+
+    The k x k minors are taken of the Poisson numerators with ``int_det``,
+    each on its own, and den^k goes into the scale.
+    """
+    n = s.algebra.dim
+    top = s.omega_power(n // 2)
+    full = (1 << n) - 1
+    p = s.poisson
+    scale = top.coeffs[full] / factorial(n // 2) / p.den**k
+    table = [[row.get(j, 0) for j in range(n)] for row in p.nums]
+    masks, out_masks = basis_masks(n, k), basis_masks(n, n - k)
+    rows = [[Fraction(0)] * len(masks) for _ in out_masks]
+    for m in masks:
+        idx = [i - 1 for i in indices_from_mask(m)]
+        row = rows[out_masks.index(full ^ m)]
+        for col, mp in enumerate(masks):
+            jdx = [j - 1 for j in indices_from_mask(mp)]
+            minor = int_det([[table[a][b] for b in jdx] for a in idx])
+            row[col] = merge_sign(m, full ^ m) * scale * minor
+    return RationalMatrix(rows, len(out_masks), len(masks))
+
+
+def _small_structures():
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.default_omega is not None:
+            yield name, sp.make(entry.algebra, entry.default_omega)
+    for n, seed, g in GENERATED_ALGEBRAS:
+        if n in (4, 6) and (s := generated_structure(seed, g)) is not None:
+            yield (n, seed), s
+
+
+def test_star_matrix_matches_minor_formula():
+    for label, s in _small_structures():
+        for k in range(s.algebra.dim + 1):
+            assert s.star_mat(k) == _star_by_minors(s, k), (label, k)
 
 
 def _rescaled(g, mu):

@@ -34,7 +34,7 @@ TORUS4 = parse_salamon("(0,0,0,0)")
 def test_make_kodaira_valid(structures):
     s = structures["kodaira"]
     assert s.half_dim == 2
-    prod = s.poisson.full_matrix() @ two_form_matrix(s.omega)
+    prod = s.poisson @ two_form_matrix(s.omega)
     assert prod == RationalMatrix.identity(4)
 
 
