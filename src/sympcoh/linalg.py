@@ -16,9 +16,13 @@ induced-map rank comes from one fraction-free elimination, ``_rref``, on
 these integer rows as they are (a positive scale changes no rank, kernel or
 span).  Every combined row is divided by the gcd of its entries, so rows
 stay primitive and entries small.  The echelon phase alone (``_echelon``)
-gives the rank; back-substitution gives the reduced rows, each returned
-primitive with a positive lead, and every derived output is reproducible
-byte for byte.
+gives the rank: ``rank`` hands it the rows sparsest first, and a row with a
+±1 lead takes over a column's pivot from a row without one, so that pivot
+scales no row it reduces.  Back-substitution walks the pivot rows from the
+last up, each clearing only the pivot columns it holds against the already
+reduced rows below it.  The reduced rows are returned primitive with a
+positive lead; they do not depend on the order of the eliminations, so
+every derived output is reproducible byte for byte.
 """
 
 from fractions import Fraction
@@ -262,10 +266,14 @@ def _primitive(row: dict) -> dict:
 
 
 def _combine(a: int, row: dict, b: int, pivot_row: dict) -> dict:
-    """The primitive multiple of a * row - b * pivot_row."""
-    g = gcd(a, b)
+    """The primitive multiple of a * row - b * pivot_row, up to sign.
+
+    a and b are divided by their gcd, signed like a; when a is then 1 the row
+    is copied, not scaled.
+    """
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
     a, b = a // g, b // g
-    out = {j: a * x for j, x in row.items()}
+    out = dict(row) if a == 1 else {j: a * x for j, x in row.items()}
     for j, y in pivot_row.items():
         x = out.get(j, 0) - b * y
         if x:
@@ -276,7 +284,12 @@ def _combine(a: int, row: dict, b: int, pivot_row: dict) -> dict:
 
 
 def _echelon(rows: list) -> dict:
-    """Forward elimination of sparse integer rows: {pivot column: row leading there}."""
+    """Forward elimination of sparse integer rows: {pivot column: row leading there}.
+
+    Rows enter in the order given.  A row whose lead is ±1 takes the place of a
+    pivot with a non-unit lead in its column, and the displaced row is reduced
+    in its stead: eliminating with a unit lead scales no row.
+    """
     pivots = {}
     for row in rows:
         while row:
@@ -285,32 +298,38 @@ def _echelon(rows: list) -> dict:
             if p is None:
                 pivots[c] = row
                 break
+            if abs(p[c]) != 1 == abs(row[c]):
+                pivots[c], row, p = row, p, row
             row = _combine(p[c], row, row[c], p)
     return pivots
 
 
 def _rref(rows) -> tuple[tuple, tuple]:
-    """Pivot columns and rows of the RREF of integer rows, each primitive with a positive lead."""
+    """Pivot columns and rows of the RREF of integer rows, each primitive with a positive lead.
+
+    Back-substitution walks the pivot rows from the last up: each clears only
+    the pivot columns it holds, against the rows below it, which are already
+    reduced and so zero at every other pivot column.
+    """
     pivots = _echelon(rows)
     cols = sorted(pivots)
-    for k in range(len(cols) - 1, 0, -1):
-        c = cols[k]
-        p = pivots[c]
-        for above in cols[:k]:
-            row = pivots[above]
-            b = row.get(c)
-            if b:
-                pivots[above] = _combine(p[c], row, b, p)
-    out = []
-    for c in cols:
-        row = _primitive(pivots[c])
-        out.append(row if row[c] > 0 else {j: -x for j, x in row.items()})
-    return tuple(cols), tuple(out)
+    for c in reversed(cols):
+        row = pivots[c]
+        for d in [d for d in row if d != c and d in pivots]:
+            p = pivots[d]
+            row = _combine(p[d], row, row[d], p)
+        row = _primitive(row)
+        pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
+    return tuple(cols), tuple(pivots[c] for c in cols)
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over the rationals: the number of pivot columns of the integer rows."""
-    return len(_echelon(m.nums))
+    """Rank over the rationals: the number of pivot columns of the integer rows.
+
+    The rows enter the elimination sparsest first, so the early pivot rows
+    are short and every later row reduced against them fills in little.
+    """
+    return len(_echelon(sorted(m.nums, key=len)))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -408,7 +427,9 @@ class Subspace:
     def _spans(self, vecs) -> bool:
         """Whether the integer row maps vecs lie in the subspace: they leave its rank as it is.
 
-        The canonical rows go first, so only the vectors are reduced.
+        The canonical rows go first, so the vectors are reduced against them;
+        a canonical row is reduced only when a vector with a ±1 lead takes
+        its column.
         """
         return len(_echelon([*self.nums, *vecs])) == self.dim
 
@@ -512,10 +533,11 @@ def induced_map_rank(
         raise ContainmentError("f does not map V1 into V2")
     if not w2._spans(_lincomb(w, by_columns) for w in w1.nums):
         raise ContainmentError("f does not map W1 into W2")
-    # W2's canonical rows lead, so each enters as a pivot row unchanged and only
-    # the images are reduced.  With the images first, the Lefschetz maps of a
-    # generated dimension-12 structure took 25 s instead of 0.36 s (Python 3.11,
-    # 2 vCPUs).
+    # W2's canonical rows lead, so each enters as a pivot row unchanged and the
+    # images are reduced against them (a W2 row whose lead is not ±1 gives way
+    # to an image with a ±1 lead there).  With the images first, the Lefschetz
+    # maps of a generated dimension-12 structure took 25 s instead of 0.36 s
+    # (Python 3.11, 2 vCPUs).
     r = len(_echelon([*w2.nums, *images])) - w2.dim
     return InducedMap(
         rank=r,

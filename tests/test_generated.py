@@ -6,8 +6,8 @@ sampled symplectic form where one exists and the standard block J.  Every
 group of ``symplectic.GROUPS`` and every pure-type group is also recounted by
 a second route: the subquotient spaces against the rank-only dimensions.
 
-Dimension 10 is swept under the ``slow`` marker, outside the default run:
-``pytest -m slow``.
+Dimensions 10 and 12 are swept under the ``slow`` marker, outside the
+default run: ``pytest -m slow``.
 """
 
 import random
@@ -94,3 +94,19 @@ def test_dimension_ten_sweep():
         assert all(rep.h_dlambda[k] == rep.b[n - k] for k in range(n + 1)), seed
         assert rep.hlc == all(dt == 0 for dt in rep.delta_tilde), seed
     assert found >= 8
+
+
+@pytest.mark.slow
+def test_dimension_twelve_sweep():
+    # seeds 0..20 draw 4 symplectic structures; their reports take about 3 s each
+    n, found = 12, 0
+    for seed in range(21):
+        s = generated_structure(seed, central_extension_algebra(n, random.Random(12_000 + seed)))
+        if s is None:
+            continue
+        found += 1
+        rep = symplectic.report(s)
+        assert rep.h_aeppli == rep.h_bottchern, seed
+        assert all(rep.h_dlambda[k] == rep.b[n - k] for k in range(n + 1)), seed
+        assert rep.hlc == all(dt == 0 for dt in rep.delta_tilde), seed
+    assert found >= 4

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -267,6 +268,137 @@ def test_inverse_by_elimination():
         RationalMatrix.zero(2, 2).inverse()
     with pytest.raises(DimensionMismatch):
         RationalMatrix.zero(2, 3).inverse()
+
+
+# --- the elimination core -------------------------------------------------
+
+
+def _reference_primitive(row):
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()}
+
+
+def _reference_combine(a, row, b, pivot_row):
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * row.get(j, 0) - b * pivot_row.get(j, 0) for j in {*row, *pivot_row}}
+    return _reference_primitive({j: x for j, x in out.items() if x})
+
+
+def reference_rref(rows):
+    """The former elimination: rows reduced in the order given, never swapped,
+    then each pivot column cleared from every row above it, asking each row
+    whether it holds that column (O(r^2) lookups)."""
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            row = _reference_combine(p[c], row, row[c], p)
+    cols = sorted(pivots)
+    for k in range(len(cols) - 1, 0, -1):
+        c = cols[k]
+        p = pivots[c]
+        for above in cols[:k]:
+            row = pivots[above]
+            b = row.get(c)
+            if b:
+                pivots[above] = _reference_combine(p[c], row, b, p)
+    out = []
+    for c in cols:
+        row = _reference_primitive(pivots[c])
+        out.append(row if row[c] > 0 else {j: -x for j, x in row.items()})
+    return tuple(cols), tuple(out)
+
+
+def sparse_int_rows(rng, rows, cols):
+    """Sparse integer row maps with unit and non-unit entries, zero rows,
+    duplicate rows and rows combined from earlier ones (rank deficient)."""
+    out = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.1 or not cols:
+            out.append({})
+        elif kind < 0.2 and out:
+            out.append(dict(rng.choice(out)))
+        elif kind < 0.35 and len(out) > 1:
+            a, b = rng.sample(out, 2)
+            s, t = rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
+            row = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in {*a, *b}}
+            out.append({j: x for j, x in row.items() if x})
+        else:
+            out.append({j: rng.choice((-6, -3, -2, -1, 1, 1, 2, 4, 5))
+                        for j in range(cols) if rng.random() < 0.35})
+    return out
+
+
+SHAPES = [(0, 4), (3, 0), (1, 1), (3, 9), (9, 3), (6, 6), (12, 5), (5, 12), (10, 10)]
+
+
+def test_rref_matches_the_former_back_substitution():
+    rng = random.Random(2027)
+    for rows, cols in SHAPES:
+        for _ in range(12):
+            m = sparse_int_rows(rng, rows, cols)
+            assert linalg._rref(m) == reference_rref(m), m
+
+
+def test_rref_rank_and_kernel_ignore_row_order_and_positive_scales():
+    rng = random.Random(1990)
+    for rows, cols in [(4, 6), (5, 5), (5, 3), (3, 7)]:
+        for _ in range(6):
+            m = sparse_int_rows(rng, rows, cols)
+            expected = reference_rref(m)
+            r = rank(RationalMatrix.from_rows(m, rows, cols))
+            k = kernel(RationalMatrix.from_rows(m, rows, cols))
+            for order in itertools.permutations(m):
+                scaled = [{j: c * x for j, x in row.items()}
+                          for row, c in zip(order, (rng.randint(1, 5) for _ in order))]
+                for perm in (list(order), scaled):
+                    assert linalg._rref(perm) == expected, perm
+                    matrix = RationalMatrix.from_rows(perm, rows, cols)
+                    assert rank(matrix) == r == len(expected[0])
+                    assert kernel(matrix) == k
+
+
+def test_rank_passes_its_rows_to_echelon_sparsest_first(monkeypatch):
+    calls = []
+
+    def recording_echelon(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return original(rows)
+
+    original = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", recording_echelon)
+    m = RationalMatrix([[3, 1, 2, 0], [0, 0, 0, 0], [1, 0, 0, 5], [0, 0, 2, 0], [0, 1, 0, 1]])
+    assert rank(m) == 4
+    assert calls == [[m.nums[1], m.nums[3], m.nums[2], m.nums[4], m.nums[0]]]
+
+
+@pytest.mark.parametrize("unit", (1, -1))
+def test_a_unit_lead_row_takes_over_a_non_unit_pivot(monkeypatch, unit):
+    combined = []
+
+    def recording_combine(a, row, b, pivot_row):
+        combined.append((a, row, b, pivot_row))
+        return original(a, row, b, pivot_row)
+
+    original = linalg._combine
+    monkeypatch.setattr(linalg, "_combine", recording_combine)
+    first, second = {0: 2, 1: 1}, {0: unit, 2: 3}
+    pivots = linalg._echelon([first, second])
+    assert pivots[0] is second
+    # the displaced row is reduced against the unit row and pivots at column 1
+    assert combined == [(unit, first, 2, second)]
+    assert sorted(pivots) == [0, 1]
+    assert pivots[1] in ({1: 1, 2: -6 * unit}, {1: -1, 2: 6 * unit})
+    # the rank is that of the former elimination, which kept the first pivot
+    m = RationalMatrix([[2, 1, 0], [unit, 0, 3], [0, 2, -12 * unit]])
+    assert rank(m) == len(reference_rref(m.nums)[0]) == 2
 
 
 # --- rank -----------------------------------------------------------------
