@@ -22,14 +22,33 @@ The derivation, the contraction and the pullback are each written once, as
 a per-mask kernel yielding the (mask, coefficient) terms of the image of one
 basis form.  The kernel serves both the operator on forms and its matrix,
 which ``mask_matrix`` writes straight into sparse rows with no form per
-column.  The kernels run on integer coefficients over one denominator: the
-generator images are cleared by their owner (once per algebra), and a
-matrix (a map, J or the Poisson matrix) enters as its ``nums`` over its
-``den``.  The pullback kernel expands the k x k minors of a map's rows one
-row at a time; the symplectic star reuses it on the Poisson matrix.
+column, over the graded bases that ``_basis`` builds once per (n, k).  The
+kernels run on integer coefficients over one denominator: the generator
+images are cleared by their owner (once per algebra), and a matrix (a map,
+J or the Poisson matrix) enters as its ``nums`` over its ``den``.  The
+pullback kernel expands the k x k minors of a map's rows one row at a time;
+the symplectic star reuses it on the Poisson matrix.
+
+Each sign of the derivation and contraction kernels is one popcount, since
+parities add: popcount(x & A) + popcount(x & B) = popcount(x & (A ^ B))
+mod 2.  For a derivation of degree shift, slot j of e^I gives
+
+    (-1)^(j-1) image(i_j) ^ e^(I - i_j),
+
+the slot sign (-1)^(shift (j-1)) times the sign (-1)^((1+shift)(j-1)) of
+moving the image of degree 1 + shift to the front.  With rest = I - i_j,
+the sign of image ^ e^rest for a basis mask ``im`` is the parity of
+sum over bits b of im of popcount(rest & (b - 1)), and j - 1 is
+popcount(rest & (low - 1)) for the bit ``low`` of i_j; so the whole sign is
+the parity of popcount(rest & flip), with flip the XOR of those b - 1 and
+low - 1, fixed per (generator, image term).  The contraction
+P^ij i_(e_i) i_(e_j) of e^mask (i < j, both in the mask) has the parity of
+popcount(mask & (b_j - 1)) + popcount(mask & (b_i - 1)), i.e. of
+popcount(mask & ((b_j - 1) ^ (b_i - 1))), fixed per Poisson entry.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -65,14 +84,29 @@ def indices_from_mask(mask: int) -> tuple:
     return tuple(out)
 
 
-def basis_masks(n: int, k: int) -> list:
-    """Degree-k basis masks in lexicographic order of their index tuples.
+@cache
+def _basis(n: int, k: int) -> tuple[tuple, dict]:
+    """(masks, {mask: index}) of the degree-k basis of R^n, built once per (n, k).
 
-    This ordering is normative for every matrix built in the package.
+    The cache holds combinatorics only (2^n masks per n used), never an
+    algebra or a form.
     """
     if k < 0 or k > n:
-        return []
-    return [sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, n + 1), k)]
+        return (), {}
+    masks = tuple(
+        sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, n + 1), k)
+    )
+    return masks, {m: i for i, m in enumerate(masks)}
+
+
+def basis_masks(n: int, k: int) -> tuple:
+    """Degree-k basis masks in lexicographic order of their index tuples.
+
+    This ordering is normative for every matrix built in the package.  The
+    tuple is shared: every call with the same (n, k) returns the same one;
+    it is empty for k < 0 or k > n.
+    """
+    return _basis(n, k)[0]
 
 
 def merge_sign(m1: int, m2: int) -> int:
@@ -86,15 +120,6 @@ def merge_sign(m1: int, m2: int) -> int:
         swaps += (m1 >> low.bit_length()).bit_count()
         m ^= low
     return -1 if swaps & 1 else 1
-
-
-def _interior(bit: int, mask: int) -> tuple[int, int]:
-    """Interior product with e_(bit+1) on a basis mask: (sign, new mask)."""
-    b = 1 << bit
-    if not mask & b:
-        return 0, mask
-    below = (mask & (b - 1)).bit_count()
-    return (-1 if below & 1 else 1), mask ^ b
 
 
 class KForm:
@@ -261,8 +286,7 @@ def mask_matrix(
     that writes operator matrices.
     """
     cols = basis_masks(n_in, k_in)
-    rows = basis_masks(n_out, k_out)
-    row_index = {m: i for i, m in enumerate(rows)}
+    rows, row_index = _basis(n_out, k_out)
     row_maps = [{} for _ in rows]
     for jcol, mask in enumerate(cols):
         for m, c in terms_of(mask):
@@ -291,22 +315,30 @@ def poisson_bivector(omega: KForm) -> RationalMatrix:
 
 
 def _upper(p: RationalMatrix) -> list:
-    """(i, j, numerator of P^ij) over the strict upper triangle of a square P, 0-based."""
+    """(pair, flip, numerator of P^ij) over the strict upper triangle of a square P.
+
+    For 0-based i < j with bits b_i, b_j: pair = b_i | b_j and
+    flip = (b_j - 1) ^ (b_i - 1), the sign mask of ``_contraction_terms``.
+    """
     if p.rows != p.cols:
         raise DimensionMismatch(f"the Poisson matrix must be square, got {p.rows}x{p.cols}")
-    return [(i, j, x) for i, row in enumerate(p.nums) for j, x in row.items() if j > i]
+    return [
+        ((1 << i) | (1 << j), ((1 << j) - 1) ^ ((1 << i) - 1), x)
+        for i, row in enumerate(p.nums)
+        for j, x in row.items()
+        if j > i
+    ]
 
 
 def _contraction_terms(upper: Sequence[tuple], mask: int):
-    """(mask, coefficient) terms of the contraction of e^mask by ``_upper``'s triples."""
-    for i, j, pij in upper:
-        s2, m2 = _interior(j, mask)
-        if s2 == 0:
-            continue
-        s1, m1 = _interior(i, m2)
-        if s1 == 0:
-            continue
-        yield m1, pij if s1 == s2 else -pij
+    """(mask, coefficient) terms of the contraction of e^mask by ``_upper``'s triples.
+
+    i_(e_i) i_(e_j) e^mask is nonzero only when both bits are in the mask,
+    with the sign of popcount(mask & flip); see the module docstring.
+    """
+    for pair, flip, pij in upper:
+        if mask & pair == pair:
+            yield mask ^ pair, -pij if (mask & flip).bit_count() & 1 else pij
 
 
 def contract(p: RationalMatrix, a: KForm) -> KForm:
@@ -373,30 +405,43 @@ def j_action(j: RationalMatrix, a: KForm) -> KForm:
     return pullback_along(j, a)
 
 
-def _derivation_terms(images: Sequence[Mapping], shift: int, mask: int):
+def _slot_terms(images: Sequence[Mapping]) -> list:
+    """Per generator, the (image mask, flip, coefficient) triples of ``_derivation_terms``.
+
+    flip is the XOR of b - 1 over the bits b of the image mask and of
+    low - 1 for the generator's own bit ``low``.
+    """
+    table = []
+    for i, image in enumerate(images):
+        terms = []
+        for im, c in image.items():
+            flip = (1 << i) - 1
+            rem = im
+            while rem:
+                low = rem & -rem
+                flip ^= low - 1
+                rem ^= low
+            terms.append((im, flip, c))
+        table.append(terms)
+    return table
+
+
+def _derivation_terms(slots: Sequence[Sequence[tuple]], mask: int):
     """(mask, coefficient) terms of the image of e^mask under ``derivation``; masks may repeat.
 
-    ``images`` holds the coefficients of the generators' images.
+    ``slots`` is ``_slot_terms`` of the generators' images.  Slot j of e^I
+    gives (-1)^(j-1) image(i_j) ^ e^rest with rest = I - i_j, whatever the
+    shift; its sign is the parity of popcount(rest & flip) (module
+    docstring), and a term meeting rest vanishes.
     """
-    step = -1 if shift & 1 else 1
-    slot_sign = 1
     rem = mask
     while rem:
         low = rem & -rem
         rem ^= low
-        image = images[low.bit_length() - 1]
-        if image:
-            prefix = mask & (low - 1)
-            suffix = (mask ^ low) ^ prefix
-            for im, ic in image.items():
-                s1 = merge_sign(prefix, im)
-                if s1 == 0:
-                    continue
-                s2 = merge_sign(prefix | im, suffix)
-                if s2 == 0:
-                    continue
-                yield prefix | im | suffix, ic if slot_sign * s1 * s2 > 0 else -ic
-        slot_sign *= step
+        rest = mask ^ low
+        for im, flip, c in slots[low.bit_length() - 1]:
+            if not im & rest:
+                yield im | rest, -c if (rest & flip).bit_count() & 1 else c
 
 
 def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
@@ -412,8 +457,8 @@ def derivation(images: Sequence[KForm], shift: int, a: KForm) -> KForm:
     J from its rows, which acts with eigenvalue i(p - q) on forms of pure
     complex bidegree (p, q)).
     """
-    coeffs = [image.coeffs for image in images]
-    out = _apply(lambda mask: _derivation_terms(coeffs, shift, mask), a)
+    slots = _slot_terms([image.coeffs for image in images])
+    out = _apply(lambda mask: _derivation_terms(slots, mask), a)
     return KForm(a.n, a.degree + shift, out)
 
 
@@ -425,9 +470,8 @@ def derivation_map(
     ``images`` holds the generators' images as integer coefficient maps
     {mask: int}, over the one positive ``den``; see ``derivation``.
     """
-    return mask_matrix(
-        lambda mask: _derivation_terms(images, shift, mask), n, k, n, k + shift, den
-    )
+    slots = _slot_terms(images)
+    return mask_matrix(lambda mask: _derivation_terms(slots, mask), n, k, n, k + shift, den)
 
 
 def matrix_of(

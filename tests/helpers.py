@@ -5,8 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 from sympcoh import catalog, cec, symplectic
-from sympcoh.forms import KForm, basis_masks
-from sympcoh.linalg import RationalMatrix, kernel
+from sympcoh.forms import KForm, basis_masks, matrix_of, wedge
+from sympcoh.linalg import ContainmentError, RationalMatrix, induced_map_rank, kernel
 from sympcoh.morphism import LieMorphism, pullback
 
 SYMPLECTIC_NAMES = [
@@ -77,6 +77,31 @@ def generated_structure(seed, g):
         return sample_symplectic(g, random.Random(seed), tries=5)
     except AssertionError:  # no closed nondegenerate 2-form was drawn
         return None
+
+
+def bc_aeppli_lefschetz_failures(s):
+    """Where L^(m-k) : H^k -> H^(n-k) fails to be bijective on Bott-Chern or Aeppli, k <= m.
+
+    Tseng and Yau show both maps are isomorphisms on every symplectic
+    structure, with or without HLC, so any entry of the returned list of
+    (theory, k, InducedMap or ContainmentError) is a fault in the Lefschetz
+    matrices, the subquotients or ``induced_map_rank``.
+    """
+    n, m = s.algebra.dim, s.half_dim
+    failures = []
+    for k in range(m + 1):
+        power = s.omega_power(m - k)
+        lefschetz = matrix_of(lambda a: wedge(power, a), n, k, n, n - k)
+        for theory in ("BottChern", "Aeppli"):
+            try:
+                f = induced_map_rank(lefschetz, *s.subquotient(theory, k),
+                                     *s.subquotient(theory, n - k))
+            except ContainmentError as err:
+                failures.append((theory, k, err))
+                continue
+            if not (f.injective and f.surjective):
+                failures.append((theory, k, f))
+    return failures
 
 
 def random_form(n, degree, rng, max_terms=4):

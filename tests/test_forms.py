@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import random_form
-from sympcoh import catalog
+from helpers import GENERATED_ALGEBRAS, generated_structure, random_form
+from sympcoh import acx, catalog, forms, symplectic
 from sympcoh.forms import (
     KForm,
     basis_masks,
@@ -13,6 +14,7 @@ from sympcoh.forms import (
     indices_from_mask,
     j_action,
     mask_from_indices,
+    mask_matrix,
     merge_sign,
     poisson_bivector,
     pullback_along,
@@ -42,6 +44,25 @@ def test_mask_roundtrip():
 def test_basis_masks_lexicographic():
     got = [indices_from_mask(m) for m in basis_masks(4, 2)]
     assert got == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def test_basis_is_built_once_per_degree():
+    for n in range(10):
+        for k in range(-2, n + 3):
+            masks = basis_masks(n, k)
+            assert type(masks) is tuple and basis_masks(n, k) is masks, (n, k)
+            if not 0 <= k <= n:
+                assert masks == (), (n, k)
+                continue
+            assert [indices_from_mask(m) for m in masks] == list(
+                combinations(range(1, n + 1), k)
+            ), (n, k)
+            ordered, index = forms._basis(n, k)
+            assert ordered is masks
+            assert index == {m: i for i, m in enumerate(masks)}, (n, k)
+            rng = random.Random(100 * n + k)
+            a = random_form(n, k, rng)
+            assert KForm.from_vector(n, k, a.to_vector()) == a, (n, k)
 
 
 def test_merge_sign():
@@ -257,3 +278,162 @@ def test_kform_vector_roundtrip():
 def test_kform_degree_mismatch_addition():
     with pytest.raises(DimensionMismatch):
         e(4, 1) + e(4, 1, 2)
+
+
+# --- one-popcount kernels against reference kernels ---------------------------
+#
+# The references take each sign the long way, with no parity identity: the
+# derivation's from two merge_sign calls (slot prefix with the image, then
+# with the slot suffix) times the slot sign (-1)^(shift (j-1)), Lambda's from
+# two interior products.
+
+
+def _reference_derivation_terms(images, shift, mask):
+    step = -1 if shift & 1 else 1
+    slot_sign = 1
+    rem = mask
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        image = images[low.bit_length() - 1]
+        if image:
+            prefix = mask & (low - 1)
+            suffix = (mask ^ low) ^ prefix
+            for im, ic in image.items():
+                s1 = merge_sign(prefix, im)
+                if s1 == 0:
+                    continue
+                s2 = merge_sign(prefix | im, suffix)
+                if s2 == 0:
+                    continue
+                yield prefix | im | suffix, ic if slot_sign * s1 * s2 > 0 else -ic
+        slot_sign *= step
+
+
+def _reference_interior(bit, mask):
+    b = 1 << bit
+    if not mask & b:
+        return 0, mask
+    below = (mask & (b - 1)).bit_count()
+    return (-1 if below & 1 else 1), mask ^ b
+
+
+def _reference_contraction_terms(p, mask):
+    for i, row in enumerate(p.nums):
+        for j, pij in row.items():
+            if j <= i:
+                continue
+            s2, m2 = _reference_interior(j, mask)
+            if s2 == 0:
+                continue
+            s1, m1 = _reference_interior(i, m2)
+            if s1 == 0:
+                continue
+            yield m1, pij if s1 == s2 else -pij
+
+
+def _summed(terms):
+    out = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_images(n, degree, rng):
+    """Integer images of the n generators, of one degree; some are zero."""
+    masks = basis_masks(n, degree)
+    return [
+        {masks[rng.randrange(len(masks))]: rng.choice((-3, -2, -1, 1, 2, 3))
+         for _ in range(rng.randint(0, 3))} if masks else {}
+        for _ in range(n)
+    ]
+
+
+def _random_poisson(n, rng):
+    """A random antisymmetric integer matrix, about half its entries zero."""
+    table = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            x = rng.randint(-4, 4)
+            table[i][j], table[j][i] = x, -x
+    return RationalMatrix(table)
+
+
+@pytest.mark.parametrize("shift", (-1, 0, 1, 2))
+def test_derivation_kernel_matches_two_merge_sign_reference(shift):
+    rng = random.Random(61 + shift)
+    for n in range(1, 10):
+        for _ in range(3):
+            images = _random_images(n, 1 + shift, rng)
+            slots = forms._slot_terms(images)
+            for mask in range(1 << n):
+                assert _summed(forms._derivation_terms(slots, mask)) == _summed(
+                    _reference_derivation_terms(images, shift, mask)
+                ), (n, shift, images, mask)
+
+
+def test_contraction_kernel_matches_interior_reference():
+    rng = random.Random(67)
+    for n in range(2, 10):
+        for _ in range(3):
+            p = _random_poisson(n, rng)
+            upper = forms._upper(p)
+            for mask in range(1 << n):
+                assert _summed(forms._contraction_terms(upper, mask)) == _summed(
+                    _reference_contraction_terms(p, mask)
+                ), (n, p.nums, mask)
+
+
+def _reference_matrices(algebra, j=None, s=None):
+    """{(op, k): matrix} of d, the J derivation and Lambda, written from the reference kernels."""
+    n = algebra.dim
+    images = [x.coeffs for x in algebra.gen_differentials]
+    out = {}
+    for k in range(n + 1):
+        out["d", k] = mask_matrix(
+            lambda mask: _reference_derivation_terms(images, 1, mask), n, k, n, k + 1
+        )
+        if j is not None:
+            rows = [{1 << c: x for c, x in row.items()} for row in j.nums]
+            out["j", k] = mask_matrix(
+                lambda mask: _reference_derivation_terms(rows, 0, mask), n, k, n, k, j.den
+            )
+        if s is not None:
+            out["lam", k] = mask_matrix(
+                lambda mask: _reference_contraction_terms(s.poisson, mask),
+                n, k, n, k - 2, s.poisson.den,
+            )
+    return out
+
+
+def _matrices(algebra, j=None, s=None):
+    n = algebra.dim
+    out = {("d", k): algebra.d(k) for k in range(n + 1)}
+    if j is not None:
+        a = acx.AlmostComplexStructure(algebra, j)
+        out.update({("j", k): a.derivation_matrix(k) for k in range(n + 1)})
+    if s is not None:
+        out.update({("lam", k): s.lam_mat(k) for k in range(n + 1)})
+    return out
+
+
+def test_operator_matrices_equal_reference_kernels_on_catalog():
+    for name in catalog.names():
+        entry = catalog.get(name)
+        s = None
+        if entry.default_omega is not None:
+            s = symplectic.make(entry.algebra, entry.default_omega)
+        args = (entry.algebra, entry.default_j, s)
+        assert _matrices(*args) == _reference_matrices(*args), name
+
+
+def test_operator_matrices_equal_reference_kernels_on_generated():
+    checked = 0
+    for n, seed, g in GENERATED_ALGEBRAS:
+        if seed >= 5:
+            continue
+        j = catalog.standard_block_j(n) if n % 2 == 0 else None
+        s = generated_structure(seed, g) if n % 2 == 0 else None
+        assert _matrices(g, j, s) == _reference_matrices(g, j, s), (n, seed)
+        checked += 1
+    assert checked >= 20

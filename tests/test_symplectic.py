@@ -6,8 +6,11 @@ import pytest
 
 from helpers import (
     FOUR_DIM_NAMES,
+    GENERATED_ALGEBRAS,
     GROUP_DIMENSIONS,
     SYMPLECTIC_NAMES,
+    bc_aeppli_lefschetz_failures,
+    generated_structure,
     random_form,
     sample_symplectic,
 )
@@ -234,6 +237,26 @@ def test_subquotients_are_cached_and_give_the_dimensions(structures):
                 assert s.subquotient(theory, k)[0] is v
                 assert v.contains(w), (name, theory, k)
                 assert v.dim - w.dim == h(s, k), (name, theory, k)
+
+
+def test_bott_chern_and_aeppli_hard_lefschetz_on_catalog(structures):
+    # an isomorphism in every degree k <= m on every structure, HLC or not
+    for name, s in structures.items():
+        assert not bc_aeppli_lefschetz_failures(s), name
+
+
+def test_bott_chern_and_aeppli_hard_lefschetz_catches_a_flipped_lambda_entry():
+    # on the catalog's dimension-4 and abelian structures no single flip of a
+    # Lambda entry shows; on this generated dimension-6 one the first does
+    _, seed, g = next(a for a in GENERATED_ALGEBRAS if a[:2] == (6, 1))
+    s = generated_structure(seed, g)
+    assert not bc_aeppli_lefschetz_failures(s)
+    mutated = sp.make(g, s.omega)
+    lam = s.lam_mat(4)
+    rows = [dict(row) for row in lam.nums]
+    rows[0][0] = -rows[0][0]
+    mutated._cache["lam", 4] = RationalMatrix.from_rows(rows, lam.rows, lam.cols, lam.den)
+    assert bc_aeppli_lefschetz_failures(mutated)
 
 
 # the cached factor of each composite A B, replaced by an all-ones matrix
