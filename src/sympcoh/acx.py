@@ -187,11 +187,13 @@ def pure_full_check(acs: AlmostComplexStructure) -> PureFullResult:
 
     Pure: the images of the J-invariant and J-anti-invariant groups inside
     the degree-2 de Rham space intersect trivially.  Full: together with the
-    exact forms they span all closed 2-forms.
+    exact forms they span all closed 2-forms.  Both lifts X, Y contain the
+    exact forms B, so pure is dim X + dim Y - dim (X + Y) = dim B.
     """
     z, b = acs.algebra.cycles(2), acs.algebra.boundaries(2)
     lifted_inv = pure_subquotient(acs, 1, 1)[0].sum(b)
     lifted_anti = pure_subquotient(acs, 2, 0)[0].sum(b)
-    pure = lifted_inv.intersect(lifted_anti).dim == b.dim
-    full = lifted_inv.sum(lifted_anti).dim == z.dim
+    both = lifted_inv.sum(lifted_anti)
+    pure = lifted_inv.dim + lifted_anti.dim - both.dim == b.dim
+    full = both.dim == z.dim
     return PureFullResult(pure=pure, full=full)

@@ -25,6 +25,13 @@ matrix of the Lie algebra map inducing pi: source -> target:
     1 0 0 0 0 0 0 0 0 0
     ...
 
+Every command loads its inputs through one loader, ``_load_checked``: the
+file or catalog entry, then the ``SYMPCOH_MAX_DIM`` guard, then the Jacobi
+refusal (``validate`` reports a Jacobi failure instead).  Both file formats
+are read by one line reader, ``_lines``, which drops comments and blank
+lines and refuses a key given twice, so ``rows`` and ``cols`` each appear
+once in a morphism file.
+
 Exit codes: 0 success, 1 semantic validation failure, 2 syntax error,
 3 hypothesis violation in pullback theories, 4 internal invariant violated.
 """
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from . import acx, catalog, cec, morphism, symplectic
 from .forms import KForm
 from .linalg import RationalMatrix
-from .parser import ParseError, parse_count, parse_form, parse_rational, parse_salamon
+from .parser import ParseError, parse_count, parse_form, parse_rational, parse_salamon, render_form
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -61,7 +68,6 @@ class InputDocument:
     algebra: cec.LieAlgebra
     omega: KForm | None
     j: RationalMatrix | None
-    nilpotent: bool
 
 
 def _max_dim() -> int:
@@ -84,87 +90,88 @@ def _parse_j_matrix(text: str, n: int) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def _read_keyvalue_file(path: str) -> dict:
-    pairs = {}
+def _lines(path: str):
+    """(where, key, value) per line of an input or morphism file, in order.
+
+    '#' starts a comment and blank lines are skipped.  ``where`` is
+    ``path:line``.  A ``key = value`` line gives its stripped key and value,
+    and a key repeated in one file is refused; any other line gives key None
+    and the whole line as value.
+    """
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
+                yield where, None, line
+                continue
             key, _, value = line.partition("=")
             key = key.strip()
-            if key in pairs:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = value.strip()
-    return pairs
+            if key in seen:
+                raise ParseError(f"{where}: duplicate key {key!r}")
+            seen.add(key)
+            yield where, key, value.strip()
 
 
 def _document_from_catalog(entry: catalog.CatalogEntry) -> InputDocument:
-    return InputDocument(
-        label=entry.name,
-        algebra=entry.algebra,
-        omega=entry.default_omega,
-        j=entry.default_j,
-        nilpotent=entry.nilpotent,
-    )
+    return InputDocument(entry.name, entry.algebra, entry.default_omega, entry.default_j)
 
 
 def load_input(spec: str) -> InputDocument:
     """Resolve a CLI input argument: a file path or a catalog name."""
-    if os.path.exists(spec):
-        pairs = _read_keyvalue_file(spec)
-        unknown = set(pairs) - {"dim", "d", "omega", "J", "name"}
-        if unknown:
-            raise ParseError(f"unknown keys in {spec}: {', '.join(sorted(unknown))}")
-        if "name" in pairs:
-            if "d" in pairs or "dim" in pairs:
-                raise ParseError("a file naming a catalog entry cannot also set dim/d")
-            doc = _document_from_catalog(catalog.get(pairs["name"]))
-            label = doc.label
-            algebra = doc.algebra
-            omega, j = doc.omega, doc.j
-        else:
-            if "d" not in pairs:
-                raise ParseError(f"{spec}: missing structure equations (key 'd')")
-            algebra = parse_salamon(pairs["d"])
-            if "dim" in pairs and parse_count(pairs["dim"], "dim") != algebra.dim:
-                raise ParseError(
-                    f"{spec}: dim = {pairs['dim']} does not match {algebra.dim} entries"
-                )
-            label = os.path.basename(spec)
-            omega = j = None
-        if "omega" in pairs:
-            omega = parse_form(pairs["omega"], algebra.dim)
-        if "J" in pairs:
-            j = _parse_j_matrix(pairs["J"], algebra.dim)
-        nilpotent = cec.is_nilpotent(algebra) if cec.validate(algebra) is None else False
-        return InputDocument(label, algebra, omega, j, nilpotent)
-    try:
-        entry = catalog.get(spec)
-    except KeyError:
-        raise ParseError(
-            f"input {spec!r} is neither a file nor a catalog name"
-        ) from None
-    return _document_from_catalog(entry)
+    if not os.path.exists(spec):
+        try:
+            entry = catalog.get(spec)
+        except KeyError:
+            raise ParseError(
+                f"input {spec!r} is neither a file nor a catalog name"
+            ) from None
+        return _document_from_catalog(entry)
+    pairs = {}
+    for where, key, value in _lines(spec):
+        if key is None:
+            raise ParseError(f"{where}: expected key = value")
+        pairs[key] = value
+    unknown = set(pairs) - {"dim", "d", "omega", "J", "name"}
+    if unknown:
+        raise ParseError(f"unknown keys in {spec}: {', '.join(sorted(unknown))}")
+    if "name" in pairs:
+        if "d" in pairs or "dim" in pairs:
+            raise ParseError("a file naming a catalog entry cannot also set dim/d")
+        doc = _document_from_catalog(catalog.get(pairs["name"]))
+    else:
+        if "d" not in pairs:
+            raise ParseError(f"{spec}: missing structure equations (key 'd')")
+        algebra = parse_salamon(pairs["d"])
+        if "dim" in pairs and parse_count(pairs["dim"], "dim") != algebra.dim:
+            raise ParseError(
+                f"{spec}: dim = {pairs['dim']} does not match {algebra.dim} entries"
+            )
+        doc = InputDocument(os.path.basename(spec), algebra, None, None)
+    if "omega" in pairs:
+        doc.omega = parse_form(pairs["omega"], doc.algebra.dim)
+    if "J" in pairs:
+        doc.j = _parse_j_matrix(pairs["J"], doc.algebra.dim)
+    return doc
 
 
-def _check_dim_guard(doc: InputDocument) -> None:
+def _load_checked(spec: str, jacobi: bool = True) -> InputDocument:
+    """``load_input``, then the SYMPCOH_MAX_DIM guard, then (if ``jacobi``) the Jacobi refusal."""
+    doc = load_input(spec)
     limit = _max_dim()
     if doc.algebra.dim > limit:
         raise InputError(
             f"dimension {doc.algebra.dim} exceeds SYMPCOH_MAX_DIM = {limit}"
         )
-
-
-def _validated_algebra(doc: InputDocument) -> None:
-    bad = cec.validate(doc.algebra)
-    if bad is not None:
+    if jacobi and (bad := cec.validate(doc.algebra)) is not None:
         raise InputError(
             f"structure equations violate the Jacobi identity at "
             f"{cec.jacobi_failure(doc.algebra, bad)}"
         )
+    return doc
 
 
 def _symplectic_structure(doc: InputDocument) -> symplectic.SymplecticStructure:
@@ -199,12 +206,16 @@ def _render_table(header: list, body: list) -> list:
     return lines
 
 
+def _print_pairs(pairs, fmt: str) -> None:
+    """Print (key, value) records, tab-separated for tsv and ``key: value`` otherwise."""
+    sep = "\t" if fmt == "tsv" else ": "
+    for key, value in pairs:
+        print(f"{key}{sep}{value}")
+
+
 def cmd_report(args) -> int:
-    doc = load_input(args.input)
-    _check_dim_guard(doc)
-    _validated_algebra(doc)
-    s = _symplectic_structure(doc)
-    rep = symplectic.report(s)
+    doc = _load_checked(args.input)
+    rep = symplectic.report(_symplectic_structure(doc))
     header = ["k", "b", "h_dLambda", "h_BC", "h_A", "deltaTilde"]
     body = [
         [k, rep.b[k], rep.h_dlambda[k], rep.h_bottchern[k], rep.h_aeppli[k], rep.delta_tilde[k]]
@@ -215,90 +226,55 @@ def cmd_report(args) -> int:
         ("ddLambda-lemma", _yesno(rep.ddlambda_lemma)),
         ("scope", "invariant forms"),
     ]
-    if not doc.nilpotent:
+    if not cec.is_nilpotent(doc.algebra):
         footer.append(("non-nilpotent", "values are invariant-level only"))
     if args.format == "tsv":
         print("\t".join(header))
         for row in body:
             print("\t".join(str(x) for x in row))
-        for key, value in footer:
-            print(f"{key}\t{value}")
     else:
         print(f"invariant cohomology: {doc.label} (dim {rep.dim})")
         for line in _render_table(header, body):
             print(line)
-        for key, value in footer:
-            print(f"{key}: {value}")
+    _print_pairs(footer, args.format)
     return EXIT_OK
 
 
 def cmd_jdecomp(args) -> int:
-    doc = load_input(args.input)
-    _check_dim_guard(doc)
-    _validated_algebra(doc)
-    a = _acs(doc)
-    try:
-        group = acx.h_j(a, args.p, args.q, with_representatives=args.with_representatives)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    a = _acs(_load_checked(args.input))
+    group = acx.h_j(a, args.p, args.q, with_representatives=args.with_representatives)
     verdict = acx.pure_full_check(a)
     rows = [
         (f"h_J({args.p},{args.q})+({args.q},{args.p})", str(group.dim)),
         ("pure", _yesno(verdict.pure)),
         ("full", _yesno(verdict.full)),
     ]
-    if args.format == "tsv":
-        for key, value in rows:
-            print(f"{key}\t{value}")
-    else:
-        for key, value in rows:
-            print(f"{key}: {value}")
-    if group.representative_basis is not None:
-        from .parser import render_form
-
-        for rep_form in group.representative_basis:
-            print(f"rep: {render_form(rep_form)}")
+    _print_pairs(rows, args.format)
+    for rep_form in group.representative_basis or ():
+        print(f"rep: {render_form(rep_form)}")
     return EXIT_OK
 
 
 def _load_morphism(path: str, source: cec.LieAlgebra, target: cec.LieAlgebra) -> morphism.LieMorphism:
-    rows_expected = cols_expected = None
-    matrix_rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key == "rows":
-                    rows_expected = parse_count(value, "rows")
-                elif key == "cols":
-                    cols_expected = parse_count(value, "cols")
-                else:
-                    raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-                continue
-            matrix_rows.append([parse_rational(t) for t in line.split()])
-    if rows_expected is None or cols_expected is None:
+    counts, matrix_rows = {}, []
+    for where, key, value in _lines(path):
+        if key is None:
+            matrix_rows.append([parse_rational(t) for t in value.split()])
+        elif key in ("rows", "cols"):
+            counts[key] = parse_count(value, key)
+        else:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    if len(counts) != 2:
         raise ParseError(f"{path}: morphism files must declare rows and cols")
-    if len(matrix_rows) != rows_expected or any(
-        len(r) != cols_expected for r in matrix_rows
+    if len(matrix_rows) != counts["rows"] or any(
+        len(r) != counts["cols"] for r in matrix_rows
     ):
         raise ParseError(f"{path}: matrix body does not match rows/cols")
-    mat = RationalMatrix(matrix_rows)
-    try:
-        return morphism.LieMorphism(source, target, mat)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return morphism.LieMorphism(source, target, RationalMatrix(matrix_rows))
 
 
 def cmd_pullback(args) -> int:
-    src_doc = load_input(args.source)
-    tgt_doc = load_input(args.target)
-    for doc in (src_doc, tgt_doc):
-        _check_dim_guard(doc)
-        _validated_algebra(doc)
+    src_doc, tgt_doc = _load_checked(args.source), _load_checked(args.target)
     f = _load_morphism(args.map, src_doc.algebra, tgt_doc.algebra)
     kwargs = {"degree": args.degree}
     structure = _symplectic_structure if args.theory in symplectic.GROUPS else None
@@ -332,13 +308,12 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = load_input(args.input)
-    _check_dim_guard(doc)
+    doc = _load_checked(args.input, jacobi=False)
     lines = []
     ok = True
     bad = cec.validate(doc.algebra)
     if bad is None:
-        kind = "nilpotent" if doc.nilpotent else "solvable or general"
+        kind = "nilpotent" if cec.is_nilpotent(doc.algebra) else "solvable or general"
         lines.append(f"algebra: ok (dim {doc.algebra.dim}, {kind})")
     else:
         ok = False
@@ -355,8 +330,6 @@ def cmd_validate(args) -> int:
             lines.append("omega: ok (closed, nondegenerate)")
         except symplectic.NotClosedError as exc:
             ok = False
-            from .parser import render_form
-
             lines.append(f"omega: not closed; d(omega) = {render_form(exc.residual)}")
         except symplectic.DegenerateError:
             ok = False

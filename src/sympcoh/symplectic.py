@@ -99,21 +99,17 @@ class SymplecticStructure(cec.Cached):
             raise NotClosedError(residual)
         if algebra.dim % 2:
             raise DegenerateError("odd-dimensional spaces carry no symplectic form")
-        half = algebra.dim // 2
-        top = omega
-        for _ in range(half - 1):
-            top = wedge(top, omega)
-        if top.is_zero():
-            raise DegenerateError("top power of omega vanishes")
         self.algebra = algebra
         self.omega = omega
-        self.half_dim = half
+        self.half_dim = half = algebra.dim // 2
+        super().__init__()
+        top = self.omega_power(half)
+        if top.is_zero():
+            raise DegenerateError("top power of omega vanishes")
         self.poisson = poisson_bivector(omega)
         full_mask = (1 << algebra.dim) - 1
         # normalized volume omega^n / n!
         self._volume_coeff = top.coeffs[full_mask] / factorial(half)
-        self._omega_powers = {0: KForm.constant(algebra.dim, 1), 1: omega}
-        super().__init__()
 
     # ---- cached operator matrices -------------------------------------
 
@@ -139,18 +135,22 @@ class SymplecticStructure(cec.Cached):
         return concat_cols(self.algebra.d(k - 1), self.dlam_mat(k + 1))
 
     def omega_power(self, j: int) -> KForm:
-        while j not in self._omega_powers:
-            m = max(self._omega_powers)
-            self._omega_powers[m + 1] = wedge(self._omega_powers[m], self.omega)
-        return self._omega_powers[j]
+        """omega^j, each power wedged once from the one below it and cached."""
+        if j < 2:
+            return self.omega if j else KForm.constant(self.algebra.dim, 1)
+        return self._cached(("omega", j), lambda: wedge(self.omega_power(j - 1), self.omega))
 
     def star_mat(self, k: int) -> RationalMatrix:
         """Matrix of the symplectic star on degree k, written from ``_star_terms``."""
         n = self.algebra.dim
         if not 0 <= k <= n:
             return RationalMatrix.zero(0, 0)
-        terms_of, den = self._star_terms(k)
-        return self._cached(("star", k), lambda: mask_matrix(terms_of, n, k, n, n - k, den))
+
+        def build():
+            terms_of, den = self._star_terms(k)
+            return mask_matrix(terms_of, n, k, n, n - k, den)
+
+        return self._cached(("star", k), build)
 
     def _star_terms(self, k: int):
         """(terms_of, den): the per-mask kernel of star on degree k, over den.

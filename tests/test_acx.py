@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from helpers import FOUR_DIM_NAMES
+from helpers import FOUR_DIM_NAMES, central_extension_algebra
 from sympcoh import acx, catalog, cec
 from sympcoh.catalog import standard_block_j
 from sympcoh.forms import KForm, j_action, matrix_of
@@ -312,3 +312,19 @@ def test_abelian_algebra_any_constant_j_pure_and_full():
     a = acx.AlmostComplexStructure(g, j)
     verdict = acx.pure_full_check(a)
     assert verdict.pure and verdict.full
+
+
+def test_pure_verdict_matches_the_intersection_route():
+    # generated dimension-6 algebras with the standard J are pure on some
+    # inputs and not on others, so both verdicts are compared
+    verdicts = set()
+    for seed in range(25):
+        g = central_extension_algebra(6, random.Random(6000 + seed))
+        a = acx.AlmostComplexStructure(g, standard_block_j(6))
+        b = g.boundaries(2)
+        lifted_inv = acx.pure_subquotient(a, 1, 1)[0].sum(b)
+        lifted_anti = acx.pure_subquotient(a, 2, 0)[0].sum(b)
+        pure = lifted_inv.intersect(lifted_anti).dim == b.dim
+        assert acx.pure_full_check(a).pure == pure, seed
+        verdicts.add(pure)
+    assert verdicts == {True, False}

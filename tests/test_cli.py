@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from sympcoh import catalog, cli, symplectic
+from sympcoh import catalog, cec, cli, symplectic
 
 KODAIRA_TSV = """k\tb\th_dLambda\th_BC\th_A\tdeltaTilde
 0\t1\t1\t1\t1\t0
@@ -343,6 +343,19 @@ def test_pullback_map_entries_and_counts_use_the_form_grammar(tmp_path, capsys):
         assert message in err
 
 
+def test_pullback_map_refuses_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "repeated.map"
+    identity = "".join(" ".join("1" if j == i else "0" for j in range(4)) + "\n" for i in range(4))
+    path.write_text("rows = 5\ncols = 4\nrows = 4\n" + identity)
+    code, out, err = run(
+        capsys,
+        "pullback", "kodaira", "kodaira",
+        "--map", str(path), "--theory", "deRham", "--degree", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:3: duplicate key 'rows'\n"
+
+
 def test_pullback_tsv(tmp_path, capsys):
     mapfile = write_projection(tmp_path)
     code, out, _ = run(
@@ -441,6 +454,30 @@ def test_jacobi_failure_names_the_triple(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: structure equations violate the Jacobi identity at {witness}\n"
+
+
+def test_only_report_and_validate_decide_nilpotency(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "kodaira.cfg"
+    doc.write_text("d = (0,0,0,23)\nomega = 12+34\nJ = [0,-1,0,0][1,0,0,0][0,0,0,-1][0,0,1,0]\n")
+    mapfile = write_identity(tmp_path, 4)
+    calls = []
+    is_nilpotent = cec.is_nilpotent
+
+    def counting(g):
+        calls.append(g)
+        return is_nilpotent(g)
+
+    monkeypatch.setattr(cec, "is_nilpotent", counting)
+    for argv, expected in (
+        (("jdecomp", str(doc), "--p", "1", "--q", "1"), 0),
+        (("pullback", str(doc), str(doc), "--map", mapfile, "--theory", "deRham",
+          "--degree", "1"), 0),
+        (("report", str(doc)), 1),
+        (("validate", str(doc)), 1),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (0, expected), argv[0]
 
 
 def test_catalog_list(capsys):

@@ -64,6 +64,23 @@ def test_make_requires_jacobi():
         sp.make(parse_salamon("(0,0,12,34)"), e(4, 1, 2))
 
 
+def test_make_and_report_wedge_each_power_of_omega_once(monkeypatch):
+    entry = catalog.get("torus8")
+    omega, m = entry.default_omega, entry.algebra.dim // 2
+    products = []
+    original_wedge = sp.wedge
+
+    def counting_wedge(a, b):
+        if b is omega:  # one step omega^j -> omega^(j+1)
+            products.append(a.degree)
+        return original_wedge(a, b)
+
+    monkeypatch.setattr(sp, "wedge", counting_wedge)
+    s = sp.make(entry.algebra, omega)
+    sp.report(s)
+    assert products == list(range(2, 2 * m, 2))  # omega^2 .. omega^m, m - 1 wedges
+
+
 # --- operators ---------------------------------------------------------------
 
 
